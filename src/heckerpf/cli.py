@@ -331,7 +331,7 @@ def _cmd_verify(args, parser) -> int:
         if isinstance(d, dict) and "rpf" in d and "pole_terms" not in d:
             d = d["rpf"]  # accept the envelope the rpf subcommand emits
         q = from_json(json.dumps(d))
-    except (ValueError, KeyError, TypeError, IndexError, DomainError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError, DomainError) as exc:
         parser.error(f"{args.file} does not parse as a serialized function: {exc}")
     r = verify(q)
     if args.output == "json":

@@ -18,7 +18,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
-from math import cos, gcd, isqrt, lcm, pi
+from math import cos, gcd, isqrt, pi
 
 from .backend import kernel
 
@@ -286,8 +286,6 @@ class RingElem:
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (FieldElem, ExtElem, Fraction)):
-                return NotImplemented
             return NotImplemented
         return self.coeffs == o.coeffs
 
@@ -313,67 +311,66 @@ def lambda_elem(p) -> RingElem:
     return RingElem(p, (0, 1))
 
 
-# -- fraction-coefficient polynomial helpers (for the extended euclid) ------
-
-
-def _fpoly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fpoly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = 1 / b[-1]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + db] * inv_lead
-        q[i] = c
-        if c:
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    return q, _fpoly_trim(a[:db])
-
-
-def _fpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fpoly_trim(out)
-
-
-def _fpoly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _fpoly_trim(out)
-
-
 def _ring_inverse(a: RingElem) -> "FieldElem":
-    """Inverse of a nonzero ring element, as a field element."""
+    """Inverse of a nonzero ring element, as a field element.
+
+    The coefficient vector x of 1/a solves M_a x = e_0, where column j of the
+    d x d integer matrix M_a holds the coefficients of a * lambda^j. The solve
+    is Bareiss fraction-free elimination (Math. Comp. 22, 1968) followed by
+    integer back-substitution, so only integers ever appear:
+
+    * det M_a is the norm N(a), which is nonzero for a != 0 because Q(lambda)
+      is a field. Eliminating column k leaves the rows below k equal, up to
+      the previous pivot, to a Schur complement of a nonsingular matrix, so
+      some row k.. always holds a nonzero entry in column k; a zero pivot is
+      swapped with the first such row.
+    * Sylvester's identity makes every entry after step k a k+1 by k+1 minor
+      of the (row-permuted) matrix, so each division by the previous pivot is
+      exact. The last pivot is D = +-N(a).
+    * By Cramer's rule y = D x is an integer vector, so each back-substitution
+      division is exact as well, and 1/a = y / D.
+    * FieldElem divides out gcd(content(y), D) and makes the denominator
+      positive, so the result is the canonical representation of 1/a.
+    """
     if a.is_zero():
         raise ZeroDivisionError("division by zero in Q(lambda)")
-    mp = minimal_polynomial(a.p)
-    if mp.degree == 1:
-        return FieldElem(RingElem.from_int(a.p, 1), a.coeffs[0])
-    # extended euclid in Q[x]: r = s*a + t*minpoly, ending at a constant gcd
-    r0 = [Fraction(c) for c in mp.coeffs]
-    r1 = _fpoly_trim([Fraction(c) for c in a.coeffs])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fpoly_sub(s0, _fpoly_mul(q, s1))
-    c = r0[0]
-    u = [x / c for x in s0]
-    den = lcm(*[f.denominator for f in u]) if u else 1
-    num = RingElem(a.p, [int(f * den) for f in u])
-    return FieldElem(num, den)
+    coeffs = a.coeffs
+    d = len(coeffs)
+    if d == 1:
+        return FieldElem(RingElem.from_int(a.p, 1), coeffs[0])
+    # columns a * lambda^j: multiplying by lambda shifts up and folds the top
+    # coefficient back through the reduced vector of lambda^d
+    base = _reduction_rows(a.p)[0]
+    cols = [coeffs]
+    for _ in range(d - 1):
+        col = cols[-1]
+        top = col[d - 1]
+        cols.append(tuple(s + top * b for s, b in zip((0,) + col[: d - 1], base)))
+    # rows of the augmented matrix [M_a | e_0]
+    m = [list(row) + [0] for row in zip(*cols)]
+    m[0][d] = 1
+    prev = 1
+    for k in range(d - 1):
+        if not m[k][k]:
+            r = next(r for r in range(k + 1, d) if m[r][k])
+            m[k], m[r] = m[r], m[k]
+        rk = m[k]
+        pk = rk[k]
+        for i in range(k + 1, d):
+            ri = m[i]
+            f = ri[k]
+            for j in range(k + 1, d + 1):
+                ri[j] = (pk * ri[j] - f * rk[j]) // prev
+        prev = pk
+    det = m[d - 1][d - 1]
+    y = [0] * d
+    for i in range(d - 1, -1, -1):
+        ri = m[i]
+        acc = det * ri[d]
+        for j in range(i + 1, d):
+            acc -= ri[j] * y[j]
+        y[i] = acc // ri[i]
+    return FieldElem(RingElem._raw(a.p, tuple(y)), det)
 
 
 class FieldElem:

@@ -2,6 +2,7 @@
 JSON determinism, canonical echoing, and the serialize/verify loop."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -238,6 +239,20 @@ def test_verify_loop():
             assert code == 2
 
 
+def test_verify_rejects_zero_denominator():
+    code, out, _ = run_cli(
+        ["rpf", "--p", "5", "--word", "2", "--weight", "2", "--output", "json"]
+    )
+    assert code == 0 and '"den":4' in out
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "zero_den.json")
+        with open(path, "w") as fh:
+            fh.write(out.replace('"den":4', '"den":0', 1))
+        code, _, err = run_cli(["verify", "--file", path])
+    assert code == 2
+    assert "Traceback" not in err and "zero denominator" in err
+
+
 def test_json_outputs_are_byte_deterministic():
     invocations = [
         ["minpoly", "--p", "5", "--output", "json"],
@@ -251,3 +266,31 @@ def test_json_outputs_are_byte_deterministic():
         code2, out2, _ = run_cli(argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def test_stdout_digests_are_pinned():
+    # sha256 of stdout. Field elements have one canonical form and JSON is
+    # byte-deterministic, so a faster arithmetic path must keep these digests;
+    # a change of representation or rendering shows up here
+    golden = [
+        (
+            ["rpf", "--p", "5", "--word", "2", "--weight", "2", "--output", "json"],
+            "5d5bffb4dbf0211ee58aff28520e321dac58968cb5924b34b1781b7e0bc9dbdd",
+        ),
+        (
+            ["rpf", "--p", "3", "--word", "1,2", "--weight", "4", "--output", "json"],
+            "90ebedef682c86dd8b368a149315a2ec96fdc1635f0606b7f6d5bdef5bede1c6",
+        ),
+        (
+            ["rpf", "--p", "7", "--word", "1,6", "--weight", "2", "--output", "latex"],
+            "d0044e4bef4ce9486f88cab38f66e84ba85069fdeb6e07d62f2ecc493e215fcf",
+        ),
+        (
+            ["isps", "--p", "5", "--n", "3", "--output", "json"],
+            "5b9681214a37adcda3307dfe0f79e5c9c6d97a10d2d82d92aec86f56db895ea9",
+        ),
+    ]
+    for argv, digest in golden:
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv

@@ -3,6 +3,7 @@ certified signs, square detection, decimal rendering."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import sympy
@@ -169,6 +170,25 @@ def test_ring_inverse_examples():
     lam7 = lambda_elem(7)
     inv = 1 / (lam7 + 2)
     assert inv * (lam7 + 2) == 1
+    # zero pivots: 1/lam5 above has one at the first elimination step (zero
+    # constant coefficient), lambda^2 - 2 at p=7 has one at the second
+    assert 1 / (lam7 * lam7 - 2) * (lam7 * lam7 - 2) == 1
+    rng = random.Random(20261018)
+    for p in range(3, 16):
+        d = minimal_polynomial(p).degree
+        for size in (1, 9, 10**4, 10**12):
+            for _ in range(8):
+                a = RingElem(p, [rng.randint(-size, size) for _ in range(d)])
+                if a.is_zero():
+                    continue
+                inv = 1 / a
+                assert FieldElem(a) * inv == 1
+                assert inv.den > 0 and gcd(inv.num.content(), inv.den) == 1
+        try:
+            1 / RingElem.from_int(p, 0)
+            assert False, "inverse of zero accepted"
+        except ZeroDivisionError:
+            pass
 
 
 def test_sign_examples():
