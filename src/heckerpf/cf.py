@@ -30,7 +30,7 @@ from .field import (
     ring_sqrt,
     sign,
 )
-from .group import GenWord, Mat, canonical_rotation, classify, generator, identity
+from .group import GenWord, Mat, _product, canonical_rotation, classify
 
 __all__ = [
     "CF",
@@ -492,13 +492,28 @@ def period_to_word(p, period) -> GenWord:
 # ---------------------------------------------------------------------------
 
 
+def _step_entries(p, r):
+    """Entries of S^r * T = [[1, r*lambda], [0, 1]] * [[0, -1], [1, 0]],
+    the step z -> r*lambda - 1/z of one CF entry r."""
+    return (
+        lambda_elem(p) * r,
+        RingElem.from_int(p, -1),
+        RingElem.from_int(p, 1),
+        RingElem.from_int(p, 0),
+    )
+
+
 def _steps_matrix(p, entries) -> Mat:
-    S = generator(p, "S")
-    T = generator(p, "T")
-    m = identity(p)
-    for r in entries:
-        m = m * S**r * T
-    return m
+    return _product(p, [_step_entries(p, r) for r in entries])
+
+
+def _fixed_point(m) -> Surd:
+    """The attracting fixed point (a - d + sqrt(t^2 - 4)) / (2c) of a
+    hyperbolic matrix with entries m = (a, b, c, d), trace t = a + d > 0
+    and c != 0."""
+    a, _, c, d = m
+    t = a + d
+    return Surd(a - d, 2 * c, t * t - 4)
 
 
 def surd_of_cf(cf: CF) -> Surd:
@@ -515,8 +530,7 @@ def surd_of_cf(cf: CF) -> Surd:
     M = V * W * V.inv()
     assert classify(M) == "hyperbolic", "admissible non-parabolic CF must be hyperbolic"
     assert not M.c.is_zero(), "finite CF value cannot be fixed at infinity"
-    t = M.trace()
-    return Surd(M.a - M.d, 2 * M.c, t * t - 4)
+    return _fixed_point(M.entries())
 
 
 def is_reduced(alpha: Surd, max_steps: int = 10000) -> bool:

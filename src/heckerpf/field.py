@@ -1038,21 +1038,29 @@ def _decimal_body(n: int, scale: int, digits: int) -> str:
 def decimal_of(make_interval, digits: int, exact=None) -> str:
     """Deterministic decimal rendering: the value is floored to `digits`
     places once an enclosure pins that floor down. make_interval(bits) must
-    return tighter and tighter RealIntervals.  An exactly rational value
-    must come in as `exact`: it can sit on a flooring boundary, which no
-    enclosure ever decides."""
+    return enclosures whose width goes to 0 as bits grows.  An exactly
+    rational value must come in as `exact`: it can sit on a flooring
+    boundary, which no enclosure ever decides.
+
+    Without `exact` the value is irrational, so value * 10^digits is not an
+    integer and lies at a positive distance from the nearest flooring
+    boundary. Past the _SIGN_BITS ladder the precision keeps doubling with
+    no cap; once an enclosure is narrower than that distance its endpoints
+    floor alike, so the loop ends for every digit count."""
     if digits < 1:
         raise DomainError("digits must be >= 1")
     scale = 10**digits
     if exact is not None:
         return _decimal_body((exact * scale).__floor__(), scale, digits)
-    for bits in (64,) + _SIGN_BITS:
+    bits = 64
+    ladder = iter(_SIGN_BITS)
+    while True:
         iv = make_interval(bits)
         nlo = (iv.lo * scale).__floor__()
         nhi = (iv.hi * scale).__floor__()
         if nlo == nhi:
             return _decimal_body(nlo, scale, digits)
-    raise PrecisionError("decimal rendering did not converge")
+        bits = next(ladder, 2 * bits)
 
 
 def poly_str(coeffs, var="x") -> str:

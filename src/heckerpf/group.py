@@ -154,20 +154,43 @@ def _sine_ratios(p, upto):
     return tuple(seq)
 
 
-def class_generator(p, j) -> Mat:
-    """The j-th conjugacy-class generator U^(j-1)*S, for 1 <= j <= p-1."""
+def _class_entries(p, j):
     if not 1 <= j <= p - 1:
         raise DomainError(f"class generator index {j} outside 1..{p - 1}")
     a = _sine_ratios(p, j + 1)
-    return Mat(a[j], a[j + 1], a[j - 1], a[j])
+    return (a[j], a[j + 1], a[j - 1], a[j])
+
+
+def class_generator(p, j) -> Mat:
+    """The j-th conjugacy-class generator U^(j-1)*S, for 1 <= j <= p-1."""
+    return Mat(*_class_entries(p, j))
+
+
+def _mul_entries(x, y):
+    """Entries of the product of two 2x2 matrices given as (a, b, c, d)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _product(p, factors) -> Mat:
+    """The Mat of a left-to-right product of entry tuples, validated once.
+
+    A chain of Mat products checks det = 1 and takes a certified sign of
+    the trace at every factor. The determinant is multiplicative, and the
+    representative of {M, -M} depends only on the final trace, since
+    normalizing +-X gives the same Mat. So multiplying raw entries and
+    building one Mat at the end gives the same entries as the chain, with
+    one determinant check and one certified sign."""
+    m = None
+    for f in factors:
+        m = f if m is None else _mul_entries(m, f)
+    return identity(p) if m is None else Mat(*m)
 
 
 def letters_to_matrix(p, letters) -> Mat:
     """Exact left-to-right product of class generators, no canonicalization."""
-    m = identity(p)
-    for j in letters:
-        m = m * class_generator(p, j)
-    return m
+    return _product(p, [_class_entries(p, j) for j in letters])
 
 
 def classify(m: Mat) -> str:
@@ -188,14 +211,19 @@ def canonical_rotation(letters):
     return min(letters[i:] + letters[:i] for i in range(n))
 
 
-def is_primitive_word(letters) -> bool:
-    """No proper sub-period: the word is not a repetition of a shorter block."""
+def _primitive_core(letters):
+    """(core, k) with letters == core * k and core not itself a repetition."""
     letters = tuple(letters)
     n = len(letters)
     for d in range(1, n):
         if n % d == 0 and letters == letters[:d] * (n // d):
-            return False
-    return True
+            return letters[:d], n // d
+    return letters, 1
+
+
+def is_primitive_word(letters) -> bool:
+    """No proper sub-period: the word is not a repetition of a shorter block."""
+    return _primitive_core(letters)[1] == 1
 
 
 class GenWord:

@@ -13,9 +13,32 @@ primitive necklaces over the alphabet of letters, Moebius-style.
 
 from __future__ import annotations
 
-from .cf import CF, Parabolic, Surd, cf_expand, floor_over_lambda, surd_of_cf
-from .field import DomainError, lambda_elem
-from .group import GenWord, NonPrimitive, canonical_rotation, enumerate_words, transpose_word, word_to_matrix
+from functools import lru_cache
+
+from .cf import (
+    CF,
+    Parabolic,
+    Surd,
+    _fixed_point,
+    _steps_matrix,
+    cf_expand,
+    is_admissible,
+    is_parabolic_period,
+)
+from .field import DomainError, lambda_elem, sign
+from .group import (
+    GenWord,
+    NonPrimitive,
+    _mul_entries,
+    _primitive_core,
+    _product,
+    canonical_rotation,
+    classify,
+    enumerate_words,
+    identity,
+    transpose_word,
+    word_to_matrix,
+)
 
 __all__ = [
     "ISP",
@@ -91,44 +114,101 @@ def _blocks(letters):
     return out
 
 
-def _positives_of_rotation(p, letters):
-    """Positive poles read off one block-aligned rotation of a word.
+def _nonnegative(P, D) -> bool:
+    """Whether P + sqrt(D) >= 0, decided by two exact ring signs.
+
+    If P >= 0 both terms are >= 0. If P < 0, then P + sqrt(D) >= 0 iff
+    sqrt(D) >= -P > 0 iff D >= P^2, both sides of the square being
+    nonnegative. So P + sqrt(D) >= 0 iff D - P^2 >= 0 or P >= 0."""
+    return sign(D - P * P) >= 0 or sign(P) >= 0
+
+
+def _is_simple(P, Q, D) -> bool:
+    """Whether alpha' < 0 < alpha for alpha = (P + sqrt(D))/Q and its
+    conjugate alpha' = (P - sqrt(D))/Q, decided by two exact ring signs.
+
+    alpha' < 0 < alpha iff alpha * alpha' < 0 and alpha - alpha' > 0. The
+    product is (P^2 - D)/Q^2, negative iff D - P^2 > 0; then D > 0, and the
+    difference 2 sqrt(D)/Q is positive iff Q > 0. So the test is
+    sign(Q) > 0 and sign(D - P^2) > 0."""
+    return sign(Q) > 0 and sign(D - P * P) > 0
+
+
+def _floor_is(P, Q, D, lam, m) -> bool:
+    """Whether floor(beta/lambda) == m for beta = (P + sqrt(D))/Q with
+    Q > 0, decided by exact ring signs.
+
+    floor(beta/lambda) == m iff beta - m*lambda >= 0 > beta - (m+1)*lambda.
+    beta - k*lambda = (P - k*lambda*Q + sqrt(D))/Q, and with Q > 0 its sign
+    is the sign of P_k + sqrt(D), P_k = P - k*lambda*Q, which _nonnegative
+    decides."""
+    lq = lam * Q
+    return _nonnegative(P - m * lq, D) and not _nonnegative(P - (m + 1) * lq, D)
+
+
+@lru_cache(maxsize=None)
+def _block_steps(p, ones, closer):
+    """Entries of the step product of one block: the CF entries m+2 and
+    j-2 ones of a run of m 1s closed by the letter j."""
+    return _steps_matrix(p, (ones + 2,) + (1,) * (closer - 2)).entries()
+
+
+def _block_points(p, letters):
+    """(beta_t, count_t) for each block t of a block-aligned rotation.
 
     The continued-fraction period is assembled block by block — a run of m
     1s closed by letter j becomes the entry m+2 followed by j-2 ones — so
-    the rotation is honored as given, without re-canonicalizing."""
+    the rotation is honored as given, without re-canonicalizing. beta_t is
+    the value of the purely periodic CF that starts at block t, and
+    count_t = m + 1 is floor(beta_t / lambda).
+
+    The period matrix W is built once from the block step products B_t.
+    The CF starting at block t has the matrix X_t^-1 W X_t with
+    X_t = B_1 ... B_(t-1), the steps before that block, since a rotation of
+    a product is a conjugate of it. Conjugation keeps the trace, and W has
+    trace > 0, so X_t^-1 W X_t is already the normalized representative
+    that surd_of_cf builds for the rotated period (the sign of X_t cancels),
+    and the fixed-point triples agree entry for entry."""
     blocks = _blocks(letters)
     period = []
     for ones, closer in blocks:
         period.append(ones + 2)
         period.extend([1] * (closer - 2))
-    period = tuple(period)
+    cf = CF(p, (), period)
+    assert is_admissible(cf) and not is_parabolic_period(cf), "block period is not hyperbolic"
+    steps = [_block_steps(p, ones, closer) for ones, closer in blocks]
+    W = _product(p, steps)
+    assert classify(W) == "hyperbolic", "admissible non-parabolic CF must be hyperbolic"
+    W = W.entries()
+    X = identity(p).entries()
+    out = []
+    for (ones, _), B in zip(blocks, steps):
+        a, b, c, d = X
+        conj = _mul_entries(_mul_entries((d, -b, -c, a), W), X)
+        assert not conj[2].is_zero(), "finite CF value cannot be fixed at infinity"
+        out.append((_fixed_point(conj), ones + 1))
+        X = _mul_entries(X, B)
+    return out
+
+
+def _positives_of_rotation(p, letters):
+    """Positive poles read off one block-aligned rotation of a word: the
+    translates beta_t - i*lambda, i = 1 .. count_t, of each block point.
+
+    Every check is an exact ring sign: Q > 0 and the floor of beta_t/lambda
+    through _floor_is, and each translate's simplicity through _is_simple."""
     lam = lambda_elem(p)
-    offset = 0
-    beta1 = None
+    points = _block_points(p, letters)
     positives = []
-    for ones, closer in blocks:
-        rotated = period[offset:] + period[:offset]
-        beta = surd_of_cf(CF(p, [], rotated))
-        if beta1 is None:
-            beta1 = beta
-        count = ones + 1
-        assert floor_over_lambda(beta) == count
+    for beta, count in points:
         P, Q, D = beta.P, beta.Q, beta.D
-        for i in range(1, count + 1):
-            alpha = Surd(P - (i * Q) * lam, Q, D)
-            assert alpha.conjugate() < 0 < alpha, "translate is not simple"
-            positives.append(alpha)
-        offset += closer - 1  # entries this block contributed to the period
-    return beta1, positives
-
-
-def _primitive_core(letters):
-    n = len(letters)
-    for d in range(1, n):
-        if n % d == 0 and letters == letters[:d] * (n // d):
-            return letters[:d], n // d
-    return letters, 1
+        assert sign(Q) > 0 and _floor_is(P, Q, D, lam, count)
+        lq = lam * Q
+        for _ in range(count):
+            P = P - lq
+            assert _is_simple(P, Q, D), "translate is not simple"
+            positives.append(Surd(P, Q, D))
+    return points[0][0], positives
 
 
 def isp_of_word(w: GenWord) -> ISP:
@@ -143,8 +223,8 @@ def isp_of_word(w: GenWord) -> ISP:
     letters = w.letters
     if all(j == 1 for j in letters) or all(j == p - 1 for j in letters):
         raise Parabolic("pure powers of the parabolic letters have no pole system")
-    if not w.is_primitive:
-        core, k = _primitive_core(letters)
+    core, k = _primitive_core(letters)
+    if k > 1:
         raise NonPrimitive(GenWord(p, core), k)
     assert letters[-1] != 1, "canonical rotation should close its final block"
     beta1, positives = _positives_of_rotation(p, letters)

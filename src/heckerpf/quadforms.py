@@ -13,7 +13,7 @@ period functions downstream.
 
 from __future__ import annotations
 
-from .cf import Parabolic, Surd, _steps_matrix, cf_expand, is_parabolic_period, mobius_apply
+from .cf import Parabolic, Surd, _fixed_point, _steps_matrix, cf_expand, is_parabolic_period, mobius_apply
 from .field import DomainError, RingElem, sign
 from .group import Mat, classify, generator
 
@@ -112,8 +112,7 @@ def fixed_points(m: Mat):
         raise DomainError("fixed-point surds exist only for hyperbolic matrices")
     if m.c.is_zero():
         raise DomainError("fixed point at infinity: matrix has c = 0")
-    t = m.trace()
-    alpha = Surd(m.a - m.d, 2 * m.c, t * t - 4)
+    alpha = _fixed_point(m.entries())
     return alpha, alpha.conjugate()
 
 

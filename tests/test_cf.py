@@ -8,6 +8,7 @@ from heckerpf.cf import (
     NotPeriodic,
     Parabolic,
     Surd,
+    _steps_matrix,
     cf_expand,
     floor_over_lambda,
     is_admissible,
@@ -24,6 +25,7 @@ from heckerpf.group import (
     GenWord,
     enumerate_words,
     generator,
+    identity,
     letters_to_matrix,
 )
 
@@ -144,6 +146,21 @@ def test_surd_of_cf_examples():
     lam5 = lambda_elem(5)
     assert surd_of_cf(CF(5, [], [2])) == Surd(lam5, RingElem.from_int(5, 1), lam5)
     assert surd_of_cf(CF(6, [1], [1, 1, 2])) == Surd.make(6, 0, 2, 2)
+
+
+def test_steps_matrix_matches_generator_powers():
+    # the closed form S^r * T = [[r*lambda, -1], [1, 0]], multiplied out and
+    # validated once, against the chain of S**r * T products; r may be any
+    # integer in a preperiod's leading entry
+    rng = random.Random(405)
+    for p in range(3, 13):
+        S, T = generator(p, "S"), generator(p, "T")
+        for _ in range(10):
+            entries = [rng.randint(-3, p) for _ in range(rng.randint(0, 8))]
+            chained = identity(p)
+            for r in entries:
+                chained = chained * S**r * T
+            assert _steps_matrix(p, entries).entries() == chained.entries(), (p, entries)
 
 
 def test_surd_of_cf_rejects():

@@ -289,8 +289,30 @@ def test_stdout_digests_are_pinned():
             ["isps", "--p", "5", "--n", "3", "--output", "json"],
             "5b9681214a37adcda3307dfe0f79e5c9c6d97a10d2d82d92aec86f56db895ea9",
         ),
+        (
+            ["isps", "--p", "9", "--n", "2", "--output", "json", "--decimal-digits", "30"],
+            "b5286d43aba8319c8444de1ecec1aad1a01eb1ad287631b03705e7407f6fe400",
+        ),
+        (
+            ["cf", "--p", "9", "--word", "2,5,7", "--output", "json"],
+            "207595d27f79f7ddc2d2d652ad142ec6f39856431b38e97b6930df8c7c03a0bb",
+        ),
     ]
     for argv, digest in golden:
         code, out, _ = run_cli(argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_decimals_past_the_sign_ladder():
+    # 2500 digits need more than the 8192 bits of the sign ladder; the
+    # precision keeps doubling, and the digits extend the 2400-digit floor
+    def reduced_decimal(digits):
+        argv = ["cf", "--p", "3", "--word", "1,2", "--output", "json", "--decimal-digits", str(digits)]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        return json.loads(out)["reduced_decimal"]
+
+    short, long = reduced_decimal(2400), reduced_decimal(2500)
+    assert len(long) == len(short) + 100
+    assert long.startswith(short)

@@ -1,5 +1,6 @@
 """Tests for group matrices, generator words, and necklace enumeration."""
 
+import functools
 import random
 
 from heckerpf.field import DomainError, RingElem, lambda_elem
@@ -52,6 +53,20 @@ def test_class_generator_range():
             assert False
         except DomainError:
             pass
+
+
+def test_letters_to_matrix_matches_chained_products():
+    # the product validated once at the end has the entries of a chain of
+    # validated Mat products, and determinant 1
+    rng = random.Random(404)
+    for p in range(3, 13):
+        assert letters_to_matrix(p, []) == identity(p)
+        for _ in range(12):
+            letters = [rng.randint(1, p - 1) for _ in range(rng.randint(1, 8))]
+            m = letters_to_matrix(p, letters)
+            chained = functools.reduce(Mat.__mul__, [class_generator(p, j) for j in letters])
+            assert m.entries() == chained.entries(), (p, letters)
+            assert m.a * m.d - m.b * m.c == 1
 
 
 def test_word_product_example():

@@ -4,10 +4,22 @@ import random
 
 import mpmath as mp
 
-from heckerpf.cf import Parabolic, Surd, cf_expand, floor_over_lambda, is_reduced
+from heckerpf.cf import (
+    CF,
+    Parabolic,
+    Surd,
+    cf_expand,
+    floor_over_lambda,
+    is_reduced,
+    surd_of_cf,
+    word_to_period,
+)
 from heckerpf.field import DomainError, RingElem, lambda_elem
 from heckerpf.group import GenWord, NonPrimitive, canonical_rotation, enumerate_words
 from heckerpf.isp import (
+    _block_points,
+    _floor_is,
+    _is_simple,
     _positives_of_rotation,
     conjugate_isp,
     count_isps,
@@ -208,6 +220,35 @@ def test_positives_are_reduced_translates():
                     i += 1
                     assert i <= 64, "no reduced translate found"
                 assert found
+
+
+def test_exact_decisions_match_interval_route():
+    # Block points by conjugation against surd_of_cf of each rotated period,
+    # and the exact simplicity and floor decisions against Surd comparison
+    # and floor_over_lambda on intervals. The translates i = 0 .. count + 1
+    # and the floors count - 1 .. count + 1 give both outcomes.
+    outcomes = set()
+    for p, n in ((3, 4), (4, 3), (5, 2), (6, 2), (7, 2), (8, 1), (9, 1), (12, 1)):
+        lam = lambda_elem(p)
+        for w in enumerate_words(p, n):
+            period = tuple(word_to_period(w))
+            starts = [k for k, r in enumerate(period) if r >= 2]
+            points = _block_points(p, w.letters)
+            assert len(points) == len(starts) == len(w.letters) - w.letters.count(1)
+            for (beta, count), k in zip(points, starts):
+                direct = surd_of_cf(CF(p, (), period[k:] + period[:k]))
+                assert beta.to_json_dict() == direct.to_json_dict(), (w, k)
+                P, Q, D = beta.P, beta.Q, beta.D
+                for m in (count - 1, count, count + 1):
+                    exact = _floor_is(P, Q, D, lam, m)
+                    assert exact == (floor_over_lambda(beta) == m), (w, k, m)
+                    outcomes.add(("floor", exact))
+                for i in range(count + 2):
+                    alpha = Surd(P - (i * Q) * lam, Q, D)
+                    exact = _is_simple(alpha.P, Q, D)
+                    assert exact == (alpha.conjugate() < 0 < alpha), (w, k, i)
+                    outcomes.add(("simple", exact))
+    assert outcomes == {(kind, b) for kind in ("floor", "simple") for b in (True, False)}
 
 
 def test_rotation_choice_does_not_change_poles():
