@@ -2,8 +2,6 @@
 fractions, binary quadratic forms, irreducible systems of poles, and rational
 period functions, all over the trace field Z[2cos(pi/p)]."""
 
-from .backend import active_backend
-
 __version__ = "0.1.0"
 
-__all__ = ["active_backend", "__version__"]
+__all__ = ["__version__"]

@@ -24,8 +24,10 @@ from .field import (
     _iv_add,
     _iv_div,
     _iv_sqrt,
+    decimal_of,
     lambda_elem,
     lambda_interval,
+    poly_str,
     ring_div_exact,
     ring_sqrt,
     sign,
@@ -239,8 +241,6 @@ class Surd:
         return self._cmp(o) >= 0
 
     def decimal(self, digits=30) -> str:
-        from .field import decimal_of
-
         folded = self.folded_value()
         exact = folded.as_fraction() if folded is not None else None
         return decimal_of(self.interval, digits, exact=exact)
@@ -253,8 +253,6 @@ class Surd:
         }
 
     def __repr__(self):
-        from .field import poly_str
-
         return (
             f"Surd(p={self.p}, ({poly_str(self.P.coeffs, 'λ')} + "
             f"√({poly_str(self.D.coeffs, 'λ')})) / ({poly_str(self.Q.coeffs, 'λ')}))"

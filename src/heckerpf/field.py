@@ -20,8 +20,6 @@ from functools import lru_cache
 from itertools import product as _iproduct
 from math import cos, gcd, isqrt, pi
 
-from .backend import kernel
-
 __all__ = [
     "DomainError",
     "ZeroDivisor",
@@ -193,8 +191,74 @@ def _reduce_vec(p, vec):
 
 
 # ---------------------------------------------------------------------------
+# coefficient-vector kernel
+# ---------------------------------------------------------------------------
+#
+# Dense integer vectors of the ring degree d, constant first. The reduction
+# table `red` is _reduction_rows(p): d-1 rows, row e the fully reduced vector
+# of x^(d+e).
+
+
+def _addv(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _subv(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _negv(a):
+    return tuple(-x for x in a)
+
+
+def _content(a):
+    g = 0
+    for x in a:
+        g = gcd(g, x)
+        if g == 1:
+            return 1
+    return g
+
+
+def _mulmod(a, b, red):
+    d = len(a)
+    if d == 1:
+        # degree-1 ring: plain integer multiplication, nothing to reduce
+        return (a[0] * b[0],)
+    prod = [0] * (2 * d - 1)
+    for i in range(d):
+        x = a[i]
+        if x:
+            for j in range(d):
+                y = b[j]
+                if y:
+                    prod[i + j] += x * y
+    # fold the high block down through the reduction rows
+    for e in range(2 * d - 2, d - 1, -1):
+        c = prod[e]
+        if c:
+            row = red[e - d]
+            for i in range(d):
+                r = row[i]
+                if r:
+                    prod[i] += c * r
+    return tuple(prod[:d])
+
+
+# ---------------------------------------------------------------------------
 # ring and field elements
 # ---------------------------------------------------------------------------
+
+
+def _power(one, base, n):
+    """base**n for n >= 0 by square-and-multiply, starting from `one`."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 class RingElem:
@@ -236,7 +300,7 @@ class RingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElem._raw(self.p, kernel.addv(self.coeffs, o.coeffs))
+        return RingElem._raw(self.p, _addv(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -244,23 +308,23 @@ class RingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElem._raw(self.p, kernel.subv(self.coeffs, o.coeffs))
+        return RingElem._raw(self.p, _subv(self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElem._raw(self.p, kernel.subv(o.coeffs, self.coeffs))
+        return RingElem._raw(self.p, _subv(o.coeffs, self.coeffs))
 
     def __neg__(self):
-        return RingElem._raw(self.p, kernel.negv(self.coeffs))
+        return RingElem._raw(self.p, _negv(self.coeffs))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return RingElem._raw(
-            self.p, kernel.mulmod(self.coeffs, o.coeffs, _reduction_rows(self.p))
+            self.p, _mulmod(self.coeffs, o.coeffs, _reduction_rows(self.p))
         )
 
     __rmul__ = __mul__
@@ -268,14 +332,7 @@ class RingElem:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise DomainError("ring exponent must be a nonnegative integer")
-        result = RingElem.from_int(self.p, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(RingElem.from_int(self.p, 1), self, n)
 
     def __truediv__(self, other):
         return FieldElem(self) / other
@@ -297,7 +354,7 @@ class RingElem:
 
     def content(self):
         """gcd of the coefficients (0 for the zero element)."""
-        return kernel.content(self.coeffs)
+        return _content(self.coeffs)
 
     def interval(self, bits):
         return _eval_iv(self.coeffs, lambda_interval(self.p, bits))
@@ -468,14 +525,7 @@ class FieldElem:
             raise DomainError("field exponent must be an integer")
         if n < 0:
             return 1 / (self ** (-n))
-        result = FieldElem.from_int(self.p, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(FieldElem.from_int(self.p, 1), self, n)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -638,14 +688,7 @@ class ExtElem:
             raise DomainError("extension exponent must be an integer")
         if n < 0:
             return (self ** (-n)).inverse()
-        result = ExtElem(1, 0, self.D)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(ExtElem(1, 0, self.D), self, n)
 
     def __eq__(self, other):
         pair = self._coerce(other)
@@ -954,10 +997,6 @@ def _round_frac(f: Fraction) -> int:
     return (2 * f.numerator + f.denominator) // (2 * f.denominator)
 
 
-_sqrt_cache: dict = {}
-_sqrt_cache_lock = threading.Lock()
-
-
 def ring_sqrt(D: RingElem):
     """Exact square root of D in Z[lambda] if D is a perfect square, else None.
 
@@ -965,18 +1004,14 @@ def ring_sqrt(D: RingElem):
     the field already has integer coefficients; candidates are recovered from
     certified enclosures of all real embeddings and then verified exactly.
     """
-    key = (D.p, D.coeffs)
-    with _sqrt_cache_lock:
-        if key in _sqrt_cache:
-            return _sqrt_cache[key]
-    res = _ring_sqrt_impl(D)
-    with _sqrt_cache_lock:
-        _sqrt_cache[key] = res
-    return res
+    return _ring_sqrt(D.p, D.coeffs)
 
 
-def _ring_sqrt_impl(D: RingElem):
-    p = D.p
+@lru_cache(maxsize=65536)
+def _ring_sqrt(p, coeffs):
+    # keyed on (p, coeffs), not on RingElem: equal hashes across p would call
+    # RingElem.__eq__, which raises DomainError for mixed p
+    D = RingElem._raw(p, coeffs)
     d = minimal_polynomial(p).degree
     if D.is_zero():
         return RingElem.from_int(p, 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .field import DomainError, RingElem, lambda_elem, sign
+from .field import DomainError, RingElem, _power, lambda_elem, sign
 
 __all__ = [
     "Mat",
@@ -92,14 +92,7 @@ class Mat:
             raise DomainError("matrix exponent must be an integer")
         if n < 0:
             return self.inv() ** (-n)
-        result = identity(self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(identity(self.p), self, n)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

@@ -14,7 +14,7 @@ period functions downstream.
 from __future__ import annotations
 
 from .cf import Parabolic, Surd, _fixed_point, _steps_matrix, cf_expand, is_parabolic_period, mobius_apply
-from .field import DomainError, RingElem, sign
+from .field import DomainError, RingElem, poly_str, sign
 from .group import Mat, classify, generator
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "form_of_matrix",
     "fixed_points",
     "act",
-    "conjugate",
     "negate",
     "is_simple",
     "matrix_of_surd",
@@ -80,8 +79,6 @@ class QForm:
         return hash((self.A, self.B, self.C))
 
     def __repr__(self):
-        from .field import poly_str
-
         parts = ", ".join(poly_str(x.coeffs, "λ") for x in (self.A, self.B, self.C))
         return f"QForm(p={self.p}, [{parts}])"
 
@@ -129,12 +126,6 @@ def act(qf: QForm, m: Mat) -> QForm:
     out = QForm(A2, B2, C2)
     assert out.disc() == qf.disc()
     return out
-
-
-def conjugate(alpha: Surd) -> Surd:
-    """Algebraic conjugate of a surd (module-level spelling of
-    Surd.conjugate; the conjugate root belongs to the negated form)."""
-    return alpha.conjugate()
 
 
 def negate(qf: QForm) -> QForm:

@@ -30,6 +30,8 @@ from .field import (
     RingElem,
     field_sqrt,
     fold_ext,
+    minimal_polynomial,
+    ring_sqrt,
     sign,
 )
 from .cf import Surd
@@ -138,14 +140,10 @@ def _ext_of(p, x) -> ExtElem:
     raise DomainError(f"cannot use {type(x).__name__} as an extension element")
 
 
-@lru_cache(maxsize=4096)
-def _disc_root_cached(p, coeffs):
-    return field_sqrt(FieldElem(RingElem(p, list(coeffs))))
-
-
 def _disc_root(D: RingElem):
     """sqrt(D) in the base field when D is a perfect square, else None."""
-    return _disc_root_cached(D.p, tuple(D.coeffs))
+    w = ring_sqrt(D)
+    return None if w is None else FieldElem(w)
 
 
 def _fold_square(x: ExtElem) -> ExtElem:
@@ -357,15 +355,35 @@ def _ext_json(x: ExtElem):
     return {"u": _field_json(x.u), "v": _field_json(x.v), "D": list(x.D.coeffs)}
 
 
+def _json_int(value, what) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{what} must be a JSON integer")
+    return value
+
+
+def _json_list(value, what) -> list:
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be a JSON list")
+    return value
+
+
+def _ring_from_json(p, value, what) -> RingElem:
+    # to_json writes every ring element with exactly `degree` entries
+    degree = minimal_polynomial(p).degree
+    if len(_json_list(value, what)) != degree:
+        raise DomainError(f"{what} must have {degree} entries at p = {p}")
+    return RingElem(p, [_json_int(c, f"a coefficient of {what}") for c in value])
+
+
 def _field_from_json(p, d) -> FieldElem:
-    return FieldElem(RingElem(p, list(d["num"])), int(d["den"]))
+    return FieldElem(_ring_from_json(p, d["num"], "num"), _json_int(d["den"], "den"))
 
 
 def _ext_from_json(p, d) -> ExtElem:
     return ExtElem(
         _field_from_json(p, d["u"]),
         _field_from_json(p, d["v"]),
-        RingElem(p, list(d["D"])),
+        _ring_from_json(p, d["D"], "D"),
     )
 
 
@@ -375,25 +393,35 @@ def to_json(q: RPF) -> str:
 
 
 def from_json(text: str) -> RPF:
-    """Rebuild a function from the output of `to_json`."""
+    """Rebuild a function from the output of `to_json`.
+
+    The text comes from outside the program, so its shape is checked as
+    `to_json` writes it: p, k, orders and denominators are JSON integers,
+    `pole_terms` and `tail` are lists, and every ring element is a list of
+    exactly degree(p) integers. A pole location must have D != 0: every
+    pole is a hyperbolic fixed point, with D = t^2 - 4 > 0. A value of the
+    wrong type or length raises DomainError rather than being coerced,
+    truncated or reduced."""
     d = json.loads(text)
-    p = int(d["p"])
+    p = _json_int(d["p"], "p")
     terms = []
-    for td in d["pole_terms"]:
+    for td in _json_list(d["pole_terms"], "pole_terms"):
         ad = td["alpha"]
         alpha = Surd(
-            RingElem(p, list(ad["P"])),
-            RingElem(p, list(ad["Q"])),
-            RingElem(p, list(ad["D"])),
+            _ring_from_json(p, ad["P"], "P"),
+            _ring_from_json(p, ad["Q"], "Q"),
+            _ring_from_json(p, ad["D"], "D"),
         )
-        terms.append(PoleTerm(alpha, int(td["order"]),
+        if alpha.D.is_zero():
+            raise DomainError("a pole location must have a nonzero discriminant")
+        terms.append(PoleTerm(alpha, _json_int(td["order"], "order"),
                               _ext_from_json(p, td["coeff"])))
     zero = (
         _ext_from_json(p, d["zero_part"]["a0"]),
         _ext_from_json(p, d["zero_part"]["b1"]),
     )
-    tail = tuple(_ext_from_json(p, cd) for cd in d["tail"])
-    return RPF(p, int(d["k"]), terms, zero, tail)
+    tail = tuple(_ext_from_json(p, cd) for cd in _json_list(d["tail"], "tail"))
+    return RPF(p, _json_int(d["k"], "k"), terms, zero, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,53 @@ def test_verify_rejects_zero_denominator():
     assert "Traceback" not in err and "zero denominator" in err
 
 
+
+def test_verify_rejects_malformed_envelopes():
+    # one field of a real envelope (p = 5, degree 2) changed per case; each
+    # must be refused as malformed (exit 2), never accepted or reduced
+    code, out, _ = run_cli(
+        ["rpf", "--p", "5", "--word", "2", "--weight", "2", "--output", "json"]
+    )
+    assert code == 0
+    term = ("pole_terms", 0)
+    coeff_v = term + ("coeff", "v")
+    cases = [
+        (("p",), 3.5),
+        (("p",), "5"),
+        (("p",), True),
+        (("p",), 2),
+        (("k",), 1.0),
+        (("k",), None),
+        (("k",), 0),
+        (term + ("order",), True),
+        (term + ("order",), 1.5),
+        (term + ("order",), 0),
+        (coeff_v + ("den",), 4.0),
+        (coeff_v + ("den",), "4"),
+        (term + ("alpha", "D"), [0, 0]),
+        (term + ("alpha", "D"), [-5, 0]),
+        (("pole_terms",), {}),
+        (("tail",), None),
+        (coeff_v + ("num",), [True, -1]),
+        (coeff_v + ("num",), [1.0, -1]),
+        (coeff_v + ("num",), ["1", -1]),
+        (coeff_v + ("num",), [1, -1, 0, 0, 0]),
+        (coeff_v + ("num",), [1]),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "malformed.json")
+        for keys, value in cases:
+            envelope = json.loads(out)
+            node = envelope["rpf"]
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+            with open(path, "w") as fh:
+                json.dump(envelope, fh)
+            code, stdout, err = run_cli(["verify", "--file", path])
+            assert code == 2 and stdout == "", (keys, value)
+            assert "Traceback" not in err and "does not parse" in err, (keys, value)
+
 def test_json_outputs_are_byte_deterministic():
     invocations = [
         ["minpoly", "--p", "5", "--output", "json"],

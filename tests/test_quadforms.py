@@ -27,7 +27,6 @@ from heckerpf.group import (
 from heckerpf.quadforms import (
     QForm,
     act,
-    conjugate,
     fixed_points,
     form_of_matrix,
     is_simple,
@@ -160,7 +159,7 @@ def test_act_transports_roots_and_conjugation():
 def test_negate_and_conjugate():
     f = form_of_matrix(word_to_matrix(GenWord(3, [1, 2])))
     assert negate(negate(f)) == f
-    assert negate(f).first_root() == conjugate(f.first_root())
+    assert negate(f).first_root() == f.first_root().conjugate()
     assert negate(f).disc() == f.disc()
 
     # the inverse matrix swaps attracting and repelling points
@@ -185,7 +184,7 @@ def test_is_simple_examples_and_root_equivalence():
             if rng.random() < 0.5:
                 f = negate(f)
             root = f.first_root()
-            assert is_simple(f) == (root > 0 and conjugate(root) < 0)
+            assert is_simple(f) == (root > 0 and root.conjugate() < 0)
 
 
 def test_is_simple_requires_hyperbolic():
