@@ -10,10 +10,13 @@ inversion z -> -1/z:
     rotation :  sum over j < p of (c_j z + d_j)^(-2k) q(M^j z) = 0
 
 where (a_j, b_j; c_j, d_j) are the entries of M^j.  Everything is exact:
-coefficients live in Q(lambda) adjoined with sqrt(D), square discriminants
-are folded down to Q(lambda), and the verifier samples more points than
-the degree of any residual that could occur, so a "valid" answer is a
-proof of the identity and not a numerical impression.
+coefficients live in Q(lambda) adjoined with sqrt(D), and square
+discriminants are folded down to Q(lambda).  `verify` writes both sides of
+each relation as partial fractions over that field and proves that every
+merged coefficient is exactly zero, so a "valid" answer is a proof of the
+identity and not a numerical impression.  Sampling the residuals at more
+points than the degree of any residual that could occur is kept only to
+find a witness point for an invalid function.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from .field import (
     DomainError,
@@ -30,7 +33,7 @@ from .field import (
     RingElem,
     field_sqrt,
     fold_ext,
-    minimal_polynomial,
+    ring_div_exact,
     ring_sqrt,
     sign,
 )
@@ -103,14 +106,22 @@ class VerifyResult:
 
     The witness is a pair (point, relation) with relation either
     "inversion" or "rotation"; the named residual is exactly nonzero at
-    the witness point.
+    the witness point.  A valid result carries its certificate in
+    `checked`: the numbers of merged partial-fraction coefficients proved
+    zero in the (inversion, rotation) relations.  It is None on an
+    invalid result and on one decided by sampling.
     """
 
-    __slots__ = ("valid", "witness")
+    __slots__ = ("valid", "witness", "_checked")
 
-    def __init__(self, valid, witness=None):
+    def __init__(self, valid, witness=None, checked=None):
         self.valid = valid
         self.witness = witness
+        self._checked = checked
+
+    @property
+    def checked(self):
+        return self._checked
 
     def __bool__(self):
         return self.valid
@@ -127,17 +138,33 @@ class VerifyResult:
 # ---------------------------------------------------------------------------
 
 
+# Elements are never mutated in place, so one object per p can stand for
+# the square tag 1 and for the constants 0 and +-1 in every function built.
+
+
+@lru_cache(maxsize=None)
 def _one_ring(p) -> RingElem:
     return RingElem.from_int(p, 1)
+
+
+@lru_cache(maxsize=None)
+def _ext_const(p, n) -> ExtElem:
+    return ExtElem(n, 0, _one_ring(p))
 
 
 def _ext_of(p, x) -> ExtElem:
     """Lift x into the extension with a harmless square tag when needed."""
     if isinstance(x, ExtElem):
         return x
+    if type(x) is int and -1 <= x <= 1:
+        return _ext_const(p, x)
     if isinstance(x, (int, Fraction, RingElem, FieldElem)):
         return ExtElem(x, 0, _one_ring(p))
     raise DomainError(f"cannot use {type(x).__name__} as an extension element")
+
+
+def _zero_field(p) -> FieldElem:
+    return _ext_const(p, 0).u
 
 
 def _disc_root(D: RingElem):
@@ -199,6 +226,12 @@ class PoleTerm:
             raise DomainError("a pole term needs a nonzero coefficient")
         if coeff.p != alpha.p:
             raise DomainError("mixed lambda indices in a pole term")
+        # the same value built on the pole's D object and the shared zero,
+        # so a function that is kept holds fewer ring elements
+        zero = _zero_field(alpha.p)
+        coeff = ExtElem(zero if coeff.u.is_zero() else coeff.u,
+                        zero if coeff.v.is_zero() else coeff.v,
+                        alpha.D if coeff.D == alpha.D else coeff.D)
         self.alpha = alpha
         self.order = order
         self.coeff = coeff
@@ -245,9 +278,9 @@ class RPF:
     folded into the base field on construction.
     """
 
-    __slots__ = ("p", "k", "pole_terms", "zero_part", "tail", "_forms", "_plan")
+    __slots__ = ("p", "k", "pole_terms", "zero_part", "tail", "_roots")
 
-    def __init__(self, p, k, pole_terms=(), zero_part=None, tail=None, forms=None):
+    def __init__(self, p, k, pole_terms=(), zero_part=None, tail=None, roots=None):
         if not isinstance(p, int) or isinstance(p, bool) or p < 3:
             raise DomainError("the group index must be an integer >= 3")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -282,8 +315,7 @@ class RPF:
         if len(tail) < 2 * k - 1:
             tail = tail + tuple(_ext_of(p, 0) for _ in range(2 * k - 1 - len(tail)))
         self.tail = tail
-        self._forms = None if forms is None else tuple(forms)
-        self._plan = None
+        self._roots = None if roots is None else tuple(roots)
         self._check_discriminants()
 
     def _check_discriminants(self):
@@ -303,6 +335,19 @@ class RPF:
     @property
     def weight(self):
         return 2 * self.k
+
+    @property
+    def _forms(self):
+        """The (s, form) pairs of a form-power function, else None.  Only
+        each form's first root (-B + sqrt(disc))/(2A) is kept, as the pole
+        terms hold it anyway; A = Q/2, B = -P and C = (P^2 - D)/(2Q)."""
+        if self._roots is None:
+            return None
+        two = RingElem.from_int(self.p, 2)
+        return tuple(
+            (s, QForm(ring_div_exact(a.Q, two), -a.P, ring_div_exact(a.P * a.P - a.D, two * a.Q)))
+            for s, a in self._roots
+        )
 
     def has_zero_pole(self):
         a0, b1 = self.zero_part
@@ -367,11 +412,21 @@ def _json_list(value, what) -> list:
     return value
 
 
+def _ring_degree(p) -> int:
+    """The degree phi(2p)/2 of lambda_p, counted without building the
+    minimal polynomial (quadratic in p)."""
+    if p < 3:
+        raise DomainError("p must be an integer >= 3")
+    return sum(gcd(j, 2 * p) == 1 for j in range(2 * p)) // 2
+
+
 def _ring_from_json(p, value, what) -> RingElem:
-    # to_json writes every ring element with exactly `degree` entries
-    degree = minimal_polynomial(p).degree
-    if len(_json_list(value, what)) != degree:
-        raise DomainError(f"{what} must have {degree} entries at p = {p}")
+    # to_json writes every ring element with exactly degree(p) entries;
+    # phi(m) >= sqrt(m/2) gives degree(p) >= sqrt(p)/2, so a short list is
+    # refused before the O(p) count
+    entries = len(_json_list(value, what))
+    if 4 * entries * entries < p or entries != _ring_degree(p):
+        raise DomainError(f"{what} has the wrong number of entries for p = {p}")
     return RingElem(p, [_json_int(c, f"a coefficient of {what}") for c in value])
 
 
@@ -484,9 +539,9 @@ def from_form_powers(k, terms) -> RPF:
     """The function  sum of s * Q(z,1)^(-k)  over pairs (s, Q).
 
     Each form power is expanded into exact pole terms through the
-    principal parts at the form's two roots; the pairs are remembered so
-    `to_latex` can print the compact form-power shape.  The expansion is
-    re-checked against a direct evaluation at a sample point.
+    principal parts at the form's two roots; each s and first root are
+    remembered so `to_latex` can print the compact form-power shape.  The
+    expansion is re-checked against a direct evaluation at a sample point.
     """
     pairs = [( _ext_of(f.p, s), f) for s, f in terms]
     if not pairs:
@@ -495,19 +550,21 @@ def from_form_powers(k, terms) -> RPF:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError("the half-weight must be a positive integer")
     acc = {}
+    roots = []
     for s, f in pairs:
         if f.p != p:
             raise DomainError("mixed lambda indices among the forms")
+        alpha = f.first_root()
+        roots.append((s, alpha))
         if s.is_zero():
             continue
-        alpha = f.first_root()
         # A (alpha - alpha') = sign(A) sqrt(disc)
         root_disc = ExtElem(0, 1, f.disc())
         scale = s * (root_disc * sign(f.A)) ** (-k)
         _accumulate(acc, principal_part(k, alpha), scale)
         sign_k = -1 if k % 2 else 1
         _accumulate(acc, principal_part(k, alpha.conjugate()), scale * sign_k)
-    q = RPF(p, k, _terms_of(acc), forms=pairs)
+    q = RPF(p, k, _terms_of(acc), roots=roots)
     _check_form_expansion(q, k, pairs)
     return q
 
@@ -527,10 +584,13 @@ def _accumulate(acc, terms, scale):
 
 def _terms_of(acc):
     out = []
+    shared = {}  # equal coefficients (D included) share one object
     for alpha, order, coeff in acc.values():
         folded = _fold_square(coeff)
         if not folded.is_zero():
-            out.append(PoleTerm(alpha, order, folded))
+            t = PoleTerm(alpha, order, folded)
+            t.coeff = shared.setdefault((t.coeff.u, t.coeff.v, t.coeff.D), t.coeff)
+            out.append(t)
     return out
 
 
@@ -600,55 +660,47 @@ def build_union(k, system) -> RPF:
 
 
 def _eval_plan(q: RPF):
-    """Group the pole terms by location and precompute what evaluation
-    needs per pole: the folded value for square discriminants, otherwise
-    P/Q, 1/Q and the constant part D/Q^2 of the norm of z - alpha.  Built
-    once per function and reused for every point."""
-    if q._plan is not None:
-        return q._plan
+    """Group the pole terms by location and precompute per pole its exact
+    value beta = u + v sqrt(D) as an ExtElem (v = 0 when D is a square and
+    beta is the folded field value, else u = P/Q and v = 1/Q) and, for a
+    non-square D, the constant part D v^2 of the norm of z - beta.  Built
+    once per function by the loops that evaluate it many times; the public
+    evaluators build one for the duration of the call."""
     groups = {}
     for t in q.pole_terms:
         key = t.alpha.key()
         if key not in groups:
             groups[key] = (t.alpha, [])
         groups[key][1].append((t.order, t.coeff))
+    zero = _zero_field(q.p)
     entries = []
     for alpha, pairs in groups.values():
         pairs.sort()
         root = _disc_root(alpha.D)
         if root is not None:
             value = (FieldElem(alpha.P) + root) / FieldElem(alpha.Q)
-            entries.append((alpha, value, None, tuple(pairs)))
+            entries.append((alpha, ExtElem(value, zero, alpha.D), None, tuple(pairs)))
         else:
             q_inv = 1 / FieldElem(alpha.Q)
-            d_over_q2 = q_inv * q_inv * FieldElem(alpha.D)
-            prep = (FieldElem(alpha.P) * q_inv, q_inv, d_over_q2)
-            entries.append((alpha, None, prep, tuple(pairs)))
-    q._plan = tuple(entries)
-    return q._plan
+            beta = ExtElem(FieldElem(alpha.P) * q_inv, q_inv, alpha.D)
+            entries.append((alpha, beta, q_inv * q_inv * FieldElem(alpha.D), tuple(pairs)))
+    return tuple(entries)
 
 
-def evaluate(q: RPF, z) -> ExtElem:
-    """The exact value q(z) for z in the base field.
-
-    Raises PoleHit at any pole, including the origin when the zero/tail
-    part is present (detected through the exact zero test that guards
-    inversion in the field)."""
-    z = _as_field(q.p, z)
+def _evaluate(q: RPF, plan, z: FieldElem) -> ExtElem:
     total = _ext_of(q.p, 0)
-    for alpha, folded, prep, pairs in _eval_plan(q):
-        if folded is not None:
-            den = z - folded
+    for alpha, beta, d_v2, pairs in plan:
+        if d_v2 is None:
+            den = z - beta.u
             if den.is_zero():
                 raise PoleHit(f"the point is the pole {alpha!r}", pole=alpha)
             inv = 1 / den
         else:
-            # (z - alpha)^-1 done by hand: the norm of z - P/Q + sqrt(D)/Q
-            # is (z - P/Q)^2 - D/Q^2, never zero since D is not a square.
-            p_over_q, q_inv, d_over_q2 = prep
-            u = z - p_over_q
-            ninv = 1 / (u * u - d_over_q2)
-            inv = ExtElem(u * ninv, q_inv * ninv, alpha.D)
+            # (z - beta)^-1 done by hand: the norm of z - u - v sqrt(D) is
+            # (z - u)^2 - D v^2, never zero since D is not a square.
+            u = z - beta.u
+            ninv = 1 / (u * u - d_v2)
+            inv = ExtElem(u * ninv, beta.v * ninv, alpha.D)
         power = inv
         at = 1
         for order, coeff in pairs:
@@ -671,12 +723,21 @@ def evaluate(q: RPF, z) -> ExtElem:
     return total
 
 
-def _inversion_from(q: RPF, z: FieldElem, value: ExtElem) -> ExtElem:
+def evaluate(q: RPF, z) -> ExtElem:
+    """The exact value q(z) for z in the base field.
+
+    Raises PoleHit at any pole, including the origin when the zero/tail
+    part is present (detected through the exact zero test that guards
+    inversion in the field)."""
+    return _evaluate(q, _eval_plan(q), _as_field(q.p, z))
+
+
+def _inversion_from(q: RPF, plan, z: FieldElem, value: ExtElem) -> ExtElem:
     """Inversion residual given the already-computed value q(z)."""
     if z.is_zero():
         raise PoleHit("the inversion relation is singular at 0", pole=0)
     z_inv = 1 / z
-    return value + evaluate(q, -z_inv) * (z_inv ** (2 * q.k))
+    return value + _evaluate(q, plan, -z_inv) * (z_inv ** (2 * q.k))
 
 
 def inversion_residual(q: RPF, z) -> ExtElem:
@@ -684,7 +745,8 @@ def inversion_residual(q: RPF, z) -> ExtElem:
     z = _as_field(q.p, z)
     if z.is_zero():
         raise PoleHit("the inversion relation is singular at 0", pole=0)
-    return _inversion_from(q, z, evaluate(q, z))
+    plan = _eval_plan(q)
+    return _inversion_from(q, plan, z, _evaluate(q, plan, z))
 
 
 @lru_cache(maxsize=None)
@@ -698,7 +760,7 @@ def _rotation_matrices(p):
     return tuple(out)
 
 
-def _rotation_from(q: RPF, z: FieldElem, value: ExtElem) -> ExtElem:
+def _rotation_from(q: RPF, plan, z: FieldElem, value: ExtElem) -> ExtElem:
     """Rotation residual given the already-computed identity term q(z)."""
     total = value
     for a, b, c, d in _rotation_matrices(q.p):
@@ -707,14 +769,15 @@ def _rotation_from(q: RPF, z: FieldElem, value: ExtElem) -> ExtElem:
             raise PoleHit("a rotated copy sends the point to infinity")
         den_inv = 1 / den
         w = (z * a + b) * den_inv
-        total = total + evaluate(q, w) * (den_inv ** (2 * q.k))
+        total = total + _evaluate(q, plan, w) * (den_inv ** (2 * q.k))
     return total
 
 
 def rotation_residual(q: RPF, z) -> ExtElem:
     """sum over j < p of (c_j z + d_j)^(-2k) q(M^j z), exactly."""
     z = _as_field(q.p, z)
-    return _rotation_from(q, z, evaluate(q, z))
+    plan = _eval_plan(q)
+    return _rotation_from(q, plan, z, _evaluate(q, plan, z))
 
 
 def _order_mass(q: RPF) -> int:
@@ -724,18 +787,38 @@ def _order_mass(q: RPF) -> int:
 
 
 def _point_budget(q: RPF) -> int:
-    """Enough sample points to separate the residuals from zero: both
-    relations are rational functions whose numerator degree is at most
-    (p+1) times (2k + pole mass), plus margin."""
+    """Sample points that separate a nonzero residual from zero.
+
+    Derivation.  q is bounded at infinity and its reduced denominator is
+    z^(2k) times (z - alpha)^(n_alpha) over its poles, with n_alpha at most
+    the sum of the orders of the terms at alpha; so q = A/B with
+    deg A <= deg B <= m, where m = `_order_mass(q)`.  For M = (a b; c d)
+    with c != 0, (cz + d)^(-2k) q(Mz) is A~/(B~ (cz + d)^(2k)) with A~, B~
+    the polynomials (cz + d)^m A(Mz) and (cz + d)^m B(Mz), so its reduced
+    denominator has degree at most m + 2k.  The inversion residual is a
+    sum of two such terms (the identity and z -> -1/z), the rotation
+    residual of p (the identity and p - 1 rotations), so each residual is
+    N/E with E the product of the terms' reduced denominators and
+
+        deg N <= deg E <= p m + (p - 1) 2k < (p + 1)(m + 2k).
+
+    A point is counted only when every term evaluates, so E does not
+    vanish there and the residual is zero there iff N is.  A nonzero N has
+    at most deg N roots, so (p + 1)(m + 2k) distinct counted points at
+    which both residuals vanish prove both relations; 8 more are margin.
+    `verify` proves the relations from partial fractions instead, and this
+    budget bounds its walk for a witness point."""
     return 2 * q.k * (q.p + 1) + _order_mass(q) * (q.p + 1) + 8
 
 
-def verify(q: RPF) -> VerifyResult:
-    """Exact check of the inversion and rotation relations.
-
-    Samples even integer points 2, 4, 6, ... (skipping any that land on a
-    pole of a rotated copy) until the budget is met; every residual must
-    vanish exactly.  A failure reports the first witness point."""
+def _sampled_verify(q: RPF) -> VerifyResult:
+    """Check both relations at even integer points 2, 4, 6, ... (skipping
+    any that land on a pole of a rotated copy) until `_point_budget` points
+    are counted; every residual must vanish exactly.  A failure reports the
+    first witness point, the inversion relation before the rotation one at
+    each point.  `verify` uses this walk to find a witness, and the tests
+    use it as an independent second verifier."""
+    plan = _eval_plan(q)
     needed = _point_budget(q)
     used = 0
     point = 0
@@ -743,20 +826,165 @@ def verify(q: RPF) -> VerifyResult:
         point += 2
         z = _as_field(q.p, point)
         try:
-            value = evaluate(q, z)
-            r_inv = _inversion_from(q, z, value)
+            value = _evaluate(q, plan, z)
+            r_inv = _inversion_from(q, plan, z, value)
         except PoleHit:
             continue
         if not r_inv.is_zero():
             return VerifyResult(False, (point, "inversion"))
         try:
-            r_rot = _rotation_from(q, z, value)
+            r_rot = _rotation_from(q, plan, z, value)
         except PoleHit:
             continue
         if not r_rot.is_zero():
             return VerifyResult(False, (point, "rotation"))
         used += 1
     return VerifyResult(True, None)
+
+
+# ---------------------------------------------------------------------------
+# the two relations in partial fractions
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _relation_matrices(p):
+    """The matrices (a, b, c, d) over the field whose weight-2k slashes sum
+    to each relation: {I, T} for the inversion, {U^j : j < p} for the
+    rotation."""
+    one, zero = FieldElem.from_int(p, 1), FieldElem.from_int(p, 0)
+    identity = (one, zero, zero, one)
+    return (identity, (zero, -one, one, zero)), (identity,) + _rotation_matrices(p)
+
+
+def _atoms(q: RPF, plan):
+    """q as atoms c (z - beta)^(-n), grouped by beta: a list of
+    (beta, ((n, c), ...)) and the constant term.  The zero part
+    a0 (1 - z^(-2k)) + b1/z gives the constant a0, -a0 at order 2k and b1
+    at order 1 at beta = 0, and tail entry t_n gives t_n at order n."""
+    groups = [(beta, pairs) for _, beta, _, pairs in plan]
+    a0, b1 = q.zero_part
+    at_zero = [(2 * q.k, -a0), (1, b1)]
+    at_zero += [(n, c) for n, c in enumerate(q.tail, start=1)]
+    at_zero = [(n, c) for n, c in at_zero if not c.is_zero()]
+    if at_zero:
+        groups.append((_ext_of(q.p, 0), at_zero))
+    return groups, a0
+
+
+def _add_atom(merged, key, c):
+    prev = merged.get(key)
+    merged[key] = c if prev is None else prev + c
+
+
+def _slash_into(merged, k, groups, const, m):
+    """Add the weight-2k slash (cz + d)^(-2k) f(Mz) of the atoms by
+    M = (a b; c d) to `merged`, keyed by (u, v, n) for c (z - beta)^(-n)
+    with beta = u + v sqrt(D), and by None for the constant.
+
+    With e = a - beta c, Mz - beta = (e z + b - beta d)/(cz + d), so an
+    atom c0 (Mz - beta)^(-n) slashes to:
+      c = 0:   c0 d^(n-2k) a^(-n) (z - beta')^(-n), beta' = (beta d - b)/a;
+      e = 0:   c0 (b - beta d)^(-n) c^(n-2k) (z - rho)^(n-2k), rho = -d/c,
+               a constant when n = 2k (beta = M(infinity));
+      else:    c0 e^(-n) c^(n-2k) (z - rho)^(n-2k) (z - beta')^(-n),
+               beta' = M^(-1) beta = (beta d - b)/e, split by the two-pole
+               binomial formula as in `principal_part`.
+    rho != beta' since M(rho) = infinity.  A constant c0 slashes to
+    c0 d^(-2k) when c = 0, else to c0 c^(-2k) (z - rho)^(-2k)."""
+    a, b, c, d = m
+    two_k = 2 * k
+    if c.is_zero():
+        for beta, pairs in groups:
+            image = (beta * d - b) / a
+            for n, c0 in pairs:
+                _add_atom(merged, (image.u, image.v, n), c0 * (d ** (n - two_k) / a ** n))
+        if not const.is_zero():
+            _add_atom(merged, None, const * d ** (-two_k))
+        return
+    rho = -d / c
+    zero = _zero_field(rho.p)
+    c_inv = [FieldElem.from_int(rho.p, 1)]
+    for _ in range(two_k):
+        c_inv.append(c_inv[-1] / c)
+    if not const.is_zero():
+        _add_atom(merged, (rho, zero, two_k), const * c_inv[two_k])
+    for beta, pairs in groups:
+        e = a - beta * c
+        if e.is_zero():
+            s = (b - beta * d).inverse()
+            for n, c0 in pairs:
+                coeff = c0 * s ** n * c_inv[two_k - n]
+                _add_atom(merged, None if n == two_k else (rho, zero, two_k - n), coeff)
+            continue
+        e_inv = e.inverse()
+        image = (beta * d - b) * e_inv
+        gap = (image - rho).inverse()  # (beta' - rho)^(-1)
+        gap_pow = [_ext_of(rho.p, 1)]
+        for _ in range(two_k - 1):
+            gap_pow.append(gap_pow[-1] * gap)
+        for n, c0 in pairs:
+            f = c0 * e_inv ** n * c_inv[two_k - n]
+            r = two_k - n
+            if r == 0:
+                _add_atom(merged, (image.u, image.v, n), f)
+                continue
+            # (z - rho)^(-r) (z - beta')^(-n): the coefficient of
+            # (z - beta')^(-(n-j)) is binom(r-1+j, j) (-1)^j gap^(r+j), that
+            # of (z - rho)^(-(r-j)) is binom(n-1+j, j) (-1)^n gap^(n+j)
+            for j in range(n):
+                scale = comb(r - 1 + j, j) * (-1 if j % 2 else 1)
+                _add_atom(merged, (image.u, image.v, n - j), f * gap_pow[r + j] * scale)
+            for j in range(r):
+                scale = comb(n - 1 + j, j) * (-1 if n % 2 else 1)
+                _add_atom(merged, (rho, zero, r - j), f * gap_pow[n + j] * scale)
+
+
+def _merged_relations(q: RPF):
+    """Yield the merged partial-fraction coefficients of the inversion and
+    then of the rotation relation, each a dict from `_slash_into` keys."""
+    groups, const = _atoms(q, _eval_plan(q))
+    for matrices in _relation_matrices(q.p):
+        merged = {}
+        for m in matrices:
+            _slash_into(merged, q.k, groups, const, m)
+        yield merged
+
+
+def verify(q: RPF) -> VerifyResult:
+    """Exact proof or refutation of the inversion and rotation relations.
+
+    Each relation is a finite sum of slashed atoms c (z - beta)^(-n) and
+    constants (`_slash_into`); `verify` merges those sums by (pole value,
+    order) and decides the relation by testing each merged coefficient
+    for exact zero.  Why that decides it:
+      - partial fractions are unique: over a field K holding every pole,
+        the constant 1 and the functions (z - beta)^(-n) for distinct
+        pairs (beta, n) are linearly independent in K(z), so a sum of
+        atoms is the zero function iff its merged coefficients are zero;
+        K is Q(lambda)(sqrt(D)) for the one non-square D a function may
+        carry (`RPF._check_discriminants`), or Q(lambda) when it has none;
+      - every slashed atom is such a sum: the new pole rho = -d/c differs
+        from beta' = M^(-1) beta, since M(rho) = infinity while
+        M(beta') = beta is finite, so the binomial split is valid;
+      - keys are unique per value: a pole is keyed by the canonical field
+        pair (u, v) of beta = u + v sqrt(D), v = 0 for values in Q(lambda)
+        (square discriminants are folded), and with one D per function
+        equal values have equal pairs.
+    Exact ExtElem arithmetic makes each zero test a proof.  When a
+    relation fails, the even points 2, 4, 6, ... are walked as in
+    `_sampled_verify` for the first witness; should that walk use up
+    `_point_budget` without one, the two verifiers disagree, which is a
+    bug, and AssertionError is raised rather than any answer."""
+    checked = []
+    for merged in _merged_relations(q):
+        if not all(c.is_zero() for c in merged.values()):
+            result = _sampled_verify(q)
+            if result.valid:
+                raise AssertionError("verifiers disagree")
+            return result
+        checked.append(len(merged))
+    return VerifyResult(True, None, tuple(checked))
 
 
 # ---------------------------------------------------------------------------
@@ -868,18 +1096,22 @@ def build_ansatz(k, system, template):
         unit[n - 1] = 1
         basis.append(RPF(p, k, (), None, unit))
     needed = _point_budget(fixed)
+    planned = [(f, _eval_plan(f)) for f in [fixed] + basis]
     rows = []
     used = 0
     for point in _odd_primes():
+        z = _as_field(p, point)
         try:
-            base_inv = inversion_residual(fixed, point)
-            base_rot = rotation_residual(fixed, point)
-            cols_inv = [inversion_residual(b, point) for b in basis]
-            cols_rot = [rotation_residual(b, point) for b in basis]
+            residuals = []
+            for f, plan in planned:
+                value = _evaluate(f, plan, z)
+                residuals.append((_inversion_from(f, plan, z, value),
+                                  _rotation_from(f, plan, z, value)))
         except PoleHit:
             continue
-        rows.append((cols_inv, -base_inv))
-        rows.append((cols_rot, -base_rot))
+        (base_inv, base_rot), *cols = residuals
+        rows.append(([r for r, _ in cols], -base_inv))
+        rows.append(([r for _, r in cols], -base_rot))
         used += 1
         if used == needed:
             break

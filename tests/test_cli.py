@@ -285,6 +285,9 @@ def test_verify_rejects_malformed_envelopes():
         (coeff_v + ("num",), ["1", -1]),
         (coeff_v + ("num",), [1, -1, 0, 0, 0]),
         (coeff_v + ("num",), [1]),
+        # degree(20011) = 10005; refused by its entry count, before the
+        # minimal polynomial (quadratic in p) is built
+        (("p",), 20011),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "malformed.json")

@@ -7,7 +7,14 @@ import mpmath as mp
 import sympy
 
 from heckerpf.cf import Surd
-from heckerpf.field import DomainError, ExtElem, FieldElem, RingElem, lambda_elem
+from heckerpf.field import (
+    DomainError,
+    ExtElem,
+    FieldElem,
+    RingElem,
+    lambda_elem,
+    minimal_polynomial,
+)
 from heckerpf.group import GenWord
 from heckerpf.isp import enumerate_isps, isp_of_word
 from heckerpf.quadforms import QForm
@@ -17,6 +24,14 @@ from heckerpf.rpf import (
     PoleTerm,
     RPF,
     SolutionFamily,
+    _atoms,
+    _eval_plan,
+    _merged_relations,
+    _relation_matrices,
+    _ring_degree,
+    _sampled_verify,
+    _simple_form,
+    _slash_into,
     build_ansatz,
     build_symmetric_odd,
     build_union,
@@ -457,6 +472,110 @@ def test_ansatz_output_always_verifies():
                 assert isinstance(got, NoSolution)
 
 
+def _verdicts_agree(q):
+    """The partial-fraction verify and the sampling walk give the same
+    verdict and the same witness; returns the verdict."""
+    exact, sampled = verify(q), _sampled_verify(q)
+    assert (exact.valid, exact.witness) == (sampled.valid, sampled.witness), q
+    assert (exact.checked is not None) == exact.valid
+    return exact.valid
+
+
+def _corrupted(q, rng):
+    """q with one seeded mutation: a pole coefficient scaled by 3/2, a
+    pole term dropped, a pole coefficient negated, or 1 added to a0."""
+    terms = list(q.pole_terms)
+    a0, b1 = q.zero_part
+    kind = rng.randrange(4) if terms else 3
+    if kind == 3:
+        return RPF(q.p, q.k, terms, (a0 + 1, b1), q.tail)
+    i = rng.randrange(len(terms))
+    t = terms[i]
+    if kind == 0:
+        terms[i] = PoleTerm(t.alpha, t.order, t.coeff * Fraction(3, 2))
+    elif kind == 1:
+        del terms[i]
+    else:
+        terms[i] = PoleTerm(t.alpha, t.order, -t.coeff)
+    return RPF(q.p, q.k, terms, q.zero_part, q.tail)
+
+
+def test_verifiers_agree_on_builders_and_corruptions():
+    outputs = []
+    for p in (3, 4, 5, 6):
+        for n in (1, 2):
+            for system in enumerate_isps(p, n):
+                if system.symmetric:
+                    outputs.append(build_symmetric_odd(1, system))
+                    got = build_ansatz(1, system, "symmetric")
+                else:
+                    outputs.append(build_union(1, system))
+                    got = build_ansatz(1, system, "nonsymmetric")
+                outputs += [got.basepoint, *got.directions]
+    sys3 = isp_of_word(GenWord(3, [1, 2]))
+    outputs.append(build_ansatz(2, sys3, "symmetric"))
+    # even powers of forms fail: the p = 4 one in the inversion relation
+    f, g = (_simple_form(a) for a in sys3.positives)
+    assert not _verdicts_agree(from_form_powers(2, [(2, f), (3, g)]))
+    f4 = _simple_form(isp_of_word(GenWord(4, [2])).positives[0])
+    assert not _verdicts_agree(from_form_powers(2, [(1, f4)]))
+    rng = random.Random(2024)
+    outcomes = set()
+    for q in outputs:
+        assert _verdicts_agree(q)
+        outcomes.add(_verdicts_agree(_corrupted(q, rng)))
+    assert outcomes == {True, False}
+
+
+def test_slash_branches_merge_exactly():
+    zero4 = FieldElem.from_int(4, 0)
+    lam4 = FieldElem(lambda_elem(4))
+    identity, inversion = _relation_matrices(4)[0]
+
+    def slashed(q, m):
+        groups, const = _atoms(q, _eval_plan(q))
+        merged = {}
+        _slash_into(merged, q.k, groups, const, m)
+        return merged
+
+    # 1 - z^-4: the constant atom and an order-2k atom at 0. gamma = 0 (the
+    # identity) keeps both; under z -> -1/z, beta = 0 is T(infinity), so
+    # e = 0 and n = 2k give a constant, and the constant 1 becomes z^-4
+    q = q_zero(4, 2, 1)
+    assert slashed(q, identity) == {None: 1, (zero4, zero4, 4): -1}
+    assert slashed(q, inversion) == {None: -1, (zero4, zero4, 4): 1}
+    inv, rot = list(_merged_relations(q))
+    assert set(inv) == {None, (zero4, zero4, 4)}
+    assert all(c.is_zero() for c in inv.values()) and verify(q).checked == (2, len(rot))
+
+    # e = 0 with n < 2k: z^-4 (-1/z)^-1 = -z^-3
+    q = RPF(4, 2, (), None, (1,))
+    assert slashed(q, inversion) == {(zero4, zero4, 3): -1}
+
+    # gamma = 0 away from the identity: 1/z under z -> z + lambda at weight 2
+    q = RPF(4, 1, (), None, (1,))
+    translation = (FieldElem.from_int(4, 1), lam4, zero4, FieldElem.from_int(4, 1))
+    assert slashed(q, translation) == {(-lam4, zero4, 1): 1}
+
+    # the general branch: (z^2 - 1)^-2 is invariant under z -> -1/z at
+    # weight 4, so the inversion relation doubles every coefficient at
+    # +-1, while the terms split off at rho = 0 (orders 1 to 3) cancel
+    f4 = _simple_form(isp_of_word(GenWord(4, [2])).positives[0])
+    q = from_form_powers(2, [(1, f4)])
+    inv, _ = list(_merged_relations(q))
+    coeff = {(t.alpha.folded_value(), t.order): t.coeff for t in q.pole_terms}
+    assert len(coeff) == 4
+    at_zero = set()
+    for (u, v, n), c in inv.items():
+        assert v.is_zero()
+        if u.is_zero():
+            at_zero.add(n)
+            assert c.is_zero()
+        else:
+            assert c == 2 * coeff[(u, n)]
+    assert at_zero == {1, 2, 3} and len(inv) == 7
+
+
 def test_json_roundtrip():
     sys3 = isp_of_word(GenWord(3, [1, 2]))
     sys5 = isp_of_word(GenWord(5, [2]))
@@ -474,6 +593,9 @@ def test_json_roundtrip():
         assert back == q
         assert to_json(back) == text  # byte-deterministic
     assert to_json(samples[0]) != to_json(samples[1])
+    # from_json counts ring entries by phi(2p)/2 instead of the polynomial
+    for p in range(3, 80):
+        assert _ring_degree(p) == minimal_polynomial(p).degree, p
 
 
 def test_latex_rendering():
