@@ -27,6 +27,7 @@ from .field import (
     decimal_of,
     lambda_elem,
     lambda_interval,
+    poly_latex,
     poly_str,
     ring_div_exact,
     ring_sqrt,
@@ -49,6 +50,7 @@ __all__ = [
     "surd_of_cf",
     "is_reduced",
     "mobius_apply",
+    "surd_latex",
 ]
 
 
@@ -257,6 +259,25 @@ class Surd:
             f"Surd(p={self.p}, ({poly_str(self.P.coeffs, 'λ')} + "
             f"√({poly_str(self.D.coeffs, 'λ')})) / ({poly_str(self.Q.coeffs, 'λ')}))"
         )
+
+
+def surd_latex(alpha: Surd) -> str:
+    """LaTeX for (P + sqrt(D)) / Q, with the sign of Q moved to the top."""
+    flip = sign(alpha.Q) < 0
+    numer, denom = (-alpha.P, -alpha.Q) if flip else (alpha.P, alpha.Q)
+    radical = r"\sqrt{%s}" % poly_latex(alpha.D.coeffs)
+    plain_denom = denom == RingElem.from_int(alpha.p, 1)
+    if numer.is_zero():
+        # pure radical: hoist the sign so callers can absorb it
+        body = radical if plain_denom else r"\frac{%s}{%s}" % (
+            radical,
+            poly_latex(denom.coeffs),
+        )
+        return ("-" + body) if flip else body
+    top = poly_latex(numer.coeffs) + (" - " if flip else " + ") + radical
+    if plain_denom:
+        return r"\left(%s\right)" % top
+    return r"\frac{%s}{%s}" % (top, poly_latex(denom.coeffs))
 
 
 # ---------------------------------------------------------------------------

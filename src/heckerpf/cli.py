@@ -25,8 +25,8 @@ import argparse
 import json
 import sys
 
-from .cf import cf_expand, period_to_word, word_to_period
-from .field import DomainError, minimal_polynomial, poly_str
+from .cf import cf_expand, period_to_word, surd_latex, word_to_period
+from .field import DomainError, minimal_polynomial, poly_latex, poly_str
 from .group import GenWord
 from .isp import count_isps, enumerate_isps, isp_of_word
 from .rpf import (
@@ -38,8 +38,6 @@ from .rpf import (
     from_json,
     verify,
     to_latex,
-    _poly_latex,
-    _surd_latex,
 )
 
 NO_SOLUTION_MESSAGE = "no RPF exists for this (ISP, weight) under this template"
@@ -124,7 +122,7 @@ def _cmd_minpoly(args, parser) -> int:
             }
         )
     elif args.output == "latex":
-        print(_poly_latex(poly.coeffs, "x"))
+        print(poly_latex(poly.coeffs, "x"))
     else:
         print(poly_str(poly.coeffs))
     return 0
@@ -163,7 +161,7 @@ def _cmd_isps(args, parser) -> int:
         _emit_json(out)
     elif args.output == "latex":
         for s in systems:
-            print(r"\left\{%s\right\}" % ", ".join(_surd_latex(a) for a in s.positives))
+            print(r"\left\{%s\right\}" % ", ".join(surd_latex(a) for a in s.positives))
     else:
         if not systems:
             print("no systems")
@@ -199,7 +197,7 @@ def _cmd_cf(args, parser) -> int:
             }
         )
     elif args.output == "latex":
-        print(r"%s = %s" % (_surd_latex(beta), _cf_latex(expansion)))
+        print(r"%s = %s" % (surd_latex(beta), _cf_latex(expansion)))
     else:
         word = ",".join(str(x) for x in w.letters)
         print(f"word {word}")

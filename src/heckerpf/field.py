@@ -41,6 +41,7 @@ __all__ = [
     "ring_div_exact",
     "decimal_of",
     "poly_str",
+    "poly_latex",
 ]
 
 _SIGN_BITS = (128, 256, 512, 1024, 2048, 4096, 8192)
@@ -1098,8 +1099,9 @@ def decimal_of(make_interval, digits: int, exact=None) -> str:
         bits = next(ladder, 2 * bits)
 
 
-def poly_str(coeffs, var="x") -> str:
-    """Human form of an integer coefficient vector (constant first)."""
+def _poly_render(coeffs, var, power, gap) -> str:
+    """The term loop of `poly_str` and `poly_latex`, which differ only in
+    the power format and the gap after a coefficient."""
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
@@ -1108,12 +1110,20 @@ def poly_str(coeffs, var="x") -> str:
         if i == 0:
             body = str(abs(c))
         else:
-            head = "" if abs(c) == 1 else str(abs(c))
-            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+            head = "" if abs(c) == 1 else str(abs(c)) + gap
+            body = head + (var if i == 1 else power % (var, i))
         if not terms:
-            terms.append(body if c > 0 else f"-{body}")
+            terms.append(body if c > 0 else "-" + body)
         else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    if not terms:
-        return "0"
-    return " ".join(terms)
+            terms.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(terms) if terms else "0"
+
+
+def poly_str(coeffs, var="x") -> str:
+    """Human form of an integer coefficient vector (constant first)."""
+    return _poly_render(coeffs, var, "%s^%d", "")
+
+
+def poly_latex(coeffs, var=r"\lambda") -> str:
+    """LaTeX for an integer coefficient vector (constant first)."""
+    return _poly_render(coeffs, var, "%s^{%d}", " ")

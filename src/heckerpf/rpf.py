@@ -14,9 +14,11 @@ coefficients live in Q(lambda) adjoined with sqrt(D), and square
 discriminants are folded down to Q(lambda).  `verify` writes both sides of
 each relation as partial fractions over that field and proves that every
 merged coefficient is exactly zero, so a "valid" answer is a proof of the
-identity and not a numerical impression.  Sampling the residuals at more
-points than the degree of any residual that could occur is kept only to
-find a witness point for an invalid function.
+identity and not a numerical impression.  `build_ansatz` solves for an
+unknown tail on the same merged coefficients, which are linear in the
+tail.  Sampling the residuals at more points than the degree of any
+residual that could occur is kept only to find a witness point for an
+invalid function.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from .field import (
     RingElem,
     field_sqrt,
     fold_ext,
+    poly_latex,
     ring_div_exact,
     ring_sqrt,
     sign,
 )
-from .cf import Surd
+from .cf import Surd, surd_latex
 from .group import generator
 from .quadforms import QForm, is_simple, matrix_of_surd, negate, form_of_matrix
 from .isp import isp_of_word
@@ -663,9 +666,9 @@ def _eval_plan(q: RPF):
     """Group the pole terms by location and precompute per pole its exact
     value beta = u + v sqrt(D) as an ExtElem (v = 0 when D is a square and
     beta is the folded field value, else u = P/Q and v = 1/Q) and, for a
-    non-square D, the constant part D v^2 of the norm of z - beta.  Built
-    once per function by the loops that evaluate it many times; the public
-    evaluators build one for the duration of the call."""
+    non-square D, the constant part D v^2 of the norm of z - beta.  The
+    public evaluators build one per call, `_sampled_verify` one per walk,
+    and `_atoms` reads its pole values."""
     groups = {}
     for t in q.pole_terms:
         key = t.alpha.key()
@@ -806,8 +809,9 @@ def _point_budget(q: RPF) -> int:
     vanish there and the residual is zero there iff N is.  A nonzero N has
     at most deg N roots, so (p + 1)(m + 2k) distinct counted points at
     which both residuals vanish prove both relations; 8 more are margin.
-    `verify` proves the relations from partial fractions instead, and this
-    budget bounds its walk for a witness point."""
+    Only `_sampled_verify` counts points: `verify` and `build_ansatz` work
+    on partial fractions, and the budget bounds `verify`'s walk for a
+    witness point."""
     return 2 * q.k * (q.p + 1) + _order_mass(q) * (q.p + 1) + 8
 
 
@@ -992,22 +996,6 @@ def verify(q: RPF) -> VerifyResult:
 # ---------------------------------------------------------------------------
 
 
-def _odd_primes():
-    yield 3
-    n = 5
-    while True:
-        d = 3
-        prime = True
-        while d * d <= n:
-            if n % d == 0:
-                prime = False
-                break
-            d += 2
-        if prime:
-            yield n
-        n += 2
-
-
 def _gauss_jordan(p, rows, m):
     """Exact reduction of rows (coeffs, rhs) over the extension field.
 
@@ -1062,12 +1050,19 @@ def build_ansatz(k, system, template):
         - sum over the partner system of pp(gamma') + tail
 
     where pp is `principal_part` of half-weight k and ' is the algebraic
-    conjugate.  The tail coefficients c_1 .. c_(2k-1) are found by exact
-    evaluation of both relation residuals at odd prime points (enough of
-    them to pin the residuals down as rational functions) and an exact
-    linear solve.  Returns the unique RPF, a SolutionFamily when tail
-    coordinates remain free (expected at weight 2), or NoSolution when
-    the conditions are inconsistent.
+    conjugate.  The tail coefficients c_1 .. c_(2k-1) solve the linear
+    conditions that `verify` checks: the merged partial-fraction
+    coefficients of both relations (`_merged_relations`) must vanish.
+    Slashing and merging are linear, so at each key (pole value and order,
+    or the constant) the merged coefficient of fixed + sum c_n z^(-n) is
+    the fixed part's plus sum c_n times that of z^(-n), with 0 where a
+    function lacks the key; each key of each relation gives one row.  By
+    the uniqueness of partial fractions argued in `verify`, a tail
+    satisfies every row iff the function satisfies both relations: the
+    rows are the conditions themselves, and their number needs no bound
+    of its own, unlike a count of sample points.  Returns the unique RPF, a SolutionFamily when tail coordinates
+    remain free (expected at weight 2), or NoSolution when the conditions
+    are inconsistent.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError("the half-weight must be a positive integer")
@@ -1090,35 +1085,21 @@ def build_ansatz(k, system, template):
             _accumulate(acc, principal_part(k, gamma.conjugate()), _ext_of(p, -1))
     fixed = RPF(p, k, _terms_of(acc))
     m = 2 * k - 1
-    basis = []
-    for n in range(1, m + 1):
-        unit = [0] * m
-        unit[n - 1] = 1
-        basis.append(RPF(p, k, (), None, unit))
-    needed = _point_budget(fixed)
-    planned = [(f, _eval_plan(f)) for f in [fixed] + basis]
+    basis = [RPF(p, k, (), None, [int(i == n) for i in range(m)]) for n in range(m)]
+    zero = _ext_of(p, 0)
     rows = []
-    used = 0
-    for point in _odd_primes():
-        z = _as_field(p, point)
-        try:
-            residuals = []
-            for f, plan in planned:
-                value = _evaluate(f, plan, z)
-                residuals.append((_inversion_from(f, plan, z, value),
-                                  _rotation_from(f, plan, z, value)))
-        except PoleHit:
-            continue
-        (base_inv, base_rot), *cols = residuals
-        rows.append(([r for r, _ in cols], -base_inv))
-        rows.append(([r for _, r in cols], -base_rot))
-        used += 1
-        if used == needed:
-            break
+    for known, *cols in zip(*(_merged_relations(f) for f in [fixed] + basis)):
+        for key in dict.fromkeys([*known, *(key for col in cols for key in col)]):
+            rows.append(([col.get(key, zero) for col in cols], -known.get(key, zero)))
     solved = _gauss_jordan(p, rows, m)
     if solved is None:
         return NoSolution()
     solution, directions = solved
+    # to_json prints the D tag of a value in Q(lambda), so a solved entry
+    # over a square D is tagged 1, as the tail it solves for is
+    solution, *directions = (
+        [ExtElem(c.u, c.v, _one_ring(p)) if _is_square_disc(c.D) else c for c in entries]
+        for entries in (solution, *directions))
     base = RPF(p, k, fixed.pole_terms, None, solution)
     if not directions:
         return base
@@ -1131,43 +1112,19 @@ def build_ansatz(k, system, template):
 # ---------------------------------------------------------------------------
 
 
-def _poly_latex(coeffs, var: str = r"\lambda") -> str:
-    """LaTeX for an integer coefficient vector in powers of a variable."""
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            head = "" if abs(c) == 1 else str(abs(c)) + " "
-            power = var if i == 1 else var + "^{%d}" % i
-            body = head + power
-        if not terms:
-            terms.append(body if c > 0 else "-" + body)
-        else:
-            terms.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(terms) if terms else "0"
-
-
-def _ring_is_plain(x: RingElem) -> bool:
-    return all(c == 0 for c in x.coeffs[1:])
-
-
 def _field_latex(x: FieldElem) -> str:
     if x.den == 1:
-        return _poly_latex(x.num.coeffs)
-    body = _poly_latex(x.num.coeffs)
+        return poly_latex(x.num.coeffs)
+    body = poly_latex(x.num.coeffs)
     if body.startswith("-"):
-        return r"-\frac{%s}{%d}" % (_poly_latex((-x.num).coeffs), x.den)
+        return r"-\frac{%s}{%d}" % (poly_latex((-x.num).coeffs), x.den)
     return r"\frac{%s}{%d}" % (body, x.den)
 
 
 def _ext_latex(x: ExtElem) -> str:
     if x.v.is_zero():
         return _field_latex(x.u)
-    radical = r"\sqrt{%s}" % _poly_latex(x.D.coeffs)
+    radical = r"\sqrt{%s}" % poly_latex(x.D.coeffs)
     v = x.v
     if v == FieldElem.from_int(x.p, 1):
         v_part = radical
@@ -1193,7 +1150,7 @@ def _pole_denom_latex(alpha: Surd) -> str:
     their field value so poles like -1 print as z + 1, not z - -1."""
     folded = alpha.folded_value()
     if folded is None:
-        body = _surd_latex(alpha)
+        body = surd_latex(alpha)
         if body.startswith("-"):
             return r"z + %s" % body[1:]
         return r"z - %s" % body
@@ -1203,30 +1160,12 @@ def _pole_denom_latex(alpha: Surd) -> str:
     return r"z - %s" % _wrap_if_composite(body)
 
 
-def _surd_latex(alpha: Surd) -> str:
-    flip = sign(alpha.Q) < 0
-    numer, denom = (-alpha.P, -alpha.Q) if flip else (alpha.P, alpha.Q)
-    radical = r"\sqrt{%s}" % _poly_latex(alpha.D.coeffs)
-    plain_denom = denom == RingElem.from_int(alpha.p, 1)
-    if numer.is_zero():
-        # pure radical: hoist the sign so callers can absorb it
-        body = radical if plain_denom else r"\frac{%s}{%s}" % (
-            radical,
-            _poly_latex(denom.coeffs),
-        )
-        return ("-" + body) if flip else body
-    top = _poly_latex(numer.coeffs) + (" - " if flip else " + ") + radical
-    if plain_denom:
-        return r"\left(%s\right)" % top
-    return r"\frac{%s}{%s}" % (top, _poly_latex(denom.coeffs))
-
-
 def _form_latex(f: QForm) -> str:
     parts = []
     for ring, power in ((f.A, "z^{2}"), (f.B, "z"), (f.C, "")):
         if ring.is_zero():
             continue
-        body = _poly_latex(ring.coeffs)
+        body = poly_latex(ring.coeffs)
         single = " + " not in body and " - " not in body
         if single:
             sign_neg = body.startswith("-")

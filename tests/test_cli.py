@@ -347,6 +347,20 @@ def test_stdout_digests_are_pinned():
             ["cf", "--p", "9", "--word", "2,5,7", "--output", "json"],
             "207595d27f79f7ddc2d2d652ad142ec6f39856431b38e97b6930df8c7c03a0bb",
         ),
+        # ansatz: a unique solution over a square pole discriminant, a
+        # family, and an inconsistent system ("result":"no-solution")
+        (
+            ["rpf", "--p", "4", "--word", "2", "--weight", "4", "--output", "json"],
+            "bb507f1c76c9118a9e4aee439698e8467f6a1a421bf47618bbb0c835a8c265ad",
+        ),
+        (
+            ["rpf", "--p", "5", "--word", "2", "--weight", "2", "--mode", "ansatz", "--output", "json"],
+            "ae8738a3e252d43defac8ad890bdae013d577b1e38b0810f27a0a1bcc5021267",
+        ),
+        (
+            ["rpf", "--p", "4", "--word", "2", "--weight", "8", "--output", "json"],
+            "5c837ca7bda1bf5199de997f21159e785a609ca74050e51afcb0b9f2aec7d309",
+        ),
     ]
     for argv, digest in golden:
         code, out, _ = run_cli(argv)

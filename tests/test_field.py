@@ -22,6 +22,7 @@ from heckerpf.field import (
     lambda_elem,
     lambda_interval,
     minimal_polynomial,
+    poly_latex,
     poly_str,
     ring_sqrt,
     sign,
@@ -353,3 +354,7 @@ def test_poly_str():
     assert poly_str((1, -2, -1, 1)) == "x^3 - x^2 - 2x + 1"
     assert poly_str((0,)) == "0"
     assert poly_str((0, 1), "λ") == "λ"
+    assert poly_latex((-2, 0, 1), "x") == "x^{2} - 2"
+    assert poly_latex((1, -2, -1, 1), "x") == "x^{3} - x^{2} - 2 x + 1"
+    assert poly_latex((0,)) == "0"
+    assert poly_latex((0, -1)) == r"-\lambda"

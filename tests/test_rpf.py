@@ -470,6 +470,8 @@ def test_ansatz_output_always_verifies():
                     assert verify(d).valid, (system.word.letters, k)
             else:
                 assert isinstance(got, NoSolution)
+    # an inconsistent system: weight 8 on the p = 4 system of word 2
+    assert build_ansatz(4, isp_of_word(GenWord(4, (2,))), "symmetric") == NoSolution()
 
 
 def _verdicts_agree(q):
