@@ -369,13 +369,11 @@ def lambda_elem(p) -> RingElem:
     return RingElem(p, (0, 1))
 
 
-def _ring_inverse(a: RingElem) -> "FieldElem":
-    """Inverse of a nonzero ring element, as a field element.
-
-    The coefficient vector x of 1/a solves M_a x = e_0, where column j of the
-    d x d integer matrix M_a holds the coefficients of a * lambda^j. The solve
-    is Bareiss fraction-free elimination (Math. Comp. 22, 1968) followed by
-    integer back-substitution, so only integers ever appear:
+def _bareiss(a: RingElem):
+    """Bareiss fraction-free elimination (Math. Comp. 22, 1968) of [M_a | e_0]
+    for a nonzero element a of a ring of degree d >= 2. Column j of the d x d
+    integer matrix M_a holds the coefficients of a * lambda^j. Returns the
+    rows, upper triangular in the first d columns; only integers appear.
 
     * det M_a is the norm N(a), which is nonzero for a != 0 because Q(lambda)
       is a field. Eliminating column k leaves the rows below k equal, up to
@@ -384,18 +382,11 @@ def _ring_inverse(a: RingElem) -> "FieldElem":
       swapped with the first such row.
     * Sylvester's identity makes every entry after step k a k+1 by k+1 minor
       of the (row-permuted) matrix, so each division by the previous pivot is
-      exact. The last pivot is D = +-N(a).
-    * By Cramer's rule y = D x is an integer vector, so each back-substitution
-      division is exact as well, and 1/a = y / D.
-    * FieldElem divides out gcd(content(y), D) and makes the denominator
-      positive, so the result is the canonical representation of 1/a.
+      exact. The last pivot is det of the row-permuted matrix: +-N(a), the
+      sign flipped once per row swap.
     """
-    if a.is_zero():
-        raise ZeroDivisionError("division by zero in Q(lambda)")
     coeffs = a.coeffs
     d = len(coeffs)
-    if d == 1:
-        return FieldElem(RingElem.from_int(a.p, 1), coeffs[0])
     # columns a * lambda^j: multiplying by lambda shifts up and folds the top
     # coefficient back through the reduced vector of lambda^d
     base = _reduction_rows(a.p)[0]
@@ -404,7 +395,6 @@ def _ring_inverse(a: RingElem) -> "FieldElem":
         col = cols[-1]
         top = col[d - 1]
         cols.append(tuple(s + top * b for s, b in zip((0,) + col[: d - 1], base)))
-    # rows of the augmented matrix [M_a | e_0]
     m = [list(row) + [0] for row in zip(*cols)]
     m[0][d] = 1
     prev = 1
@@ -420,6 +410,28 @@ def _ring_inverse(a: RingElem) -> "FieldElem":
             for j in range(k + 1, d + 1):
                 ri[j] = (pk * ri[j] - f * rk[j]) // prev
         prev = pk
+    return m
+
+
+def _ring_inverse(a: RingElem) -> "FieldElem":
+    """Inverse of a nonzero ring element, as a field element.
+
+    The coefficient vector x of 1/a solves M_a x = e_0; `_bareiss` brings
+    [M_a | e_0] to triangular form with last pivot D = +-N(a), and integer
+    back-substitution finishes the solve:
+
+    * By Cramer's rule y = D x is an integer vector, so each back-substitution
+      division is exact, and 1/a = y / D.
+    * FieldElem divides out gcd(content(y), D) and makes the denominator
+      positive, so the result is the canonical representation of 1/a.
+    """
+    if a.is_zero():
+        raise ZeroDivisionError("division by zero in Q(lambda)")
+    coeffs = a.coeffs
+    d = len(coeffs)
+    if d == 1:
+        return FieldElem(RingElem.from_int(a.p, 1), coeffs[0])
+    m = _bareiss(a)
     det = m[d - 1][d - 1]
     y = [0] * d
     for i in range(d - 1, -1, -1):
@@ -834,17 +846,26 @@ def _eval_iv(coeffs, x: RealInterval) -> RealInterval:
     return acc
 
 
-def _eval_frac(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 # -- enclosures of 2cos(k*pi/p) for all conjugates ---------------------------
 
 _roots_lock = threading.Lock()
 _roots_cache: dict = {}
+
+# bits a Newton step gives up from the doubled precision, for the curvature
+# term |f''/2f'| (up to 2^(guard+1)) and rounding; too small a margin only
+# makes steps fail and fall back to halving, never an unsound bracket
+_NEWTON_GUARD = 4
+
+
+def _horner_scaled(coeffs, x, e):
+    """2^(e*n) * f(x / 2^e) as an integer, for f of degree n with integer
+    `coeffs` (constant first): the sign of f at the dyadic x / 2^e."""
+    acc = coeffs[-1]
+    shift = 0
+    for c in reversed(coeffs[:-1]):
+        shift += e
+        acc = acc * x + (c << shift)
+    return acc
 
 
 def _init_roots(p):
@@ -852,53 +873,114 @@ def _init_roots(p):
     d = mp.degree
     if d == 1:
         root = Fraction(-mp.coeffs[0])
-        return {"brackets": [[root, root]], "width_bits": None}
+        return {"brackets": None, "bits": None, "fracs": [(root, root)]}
     ks = [k for k in range(1, p) if gcd(k, 2 * p) == 1]
     hints = sorted((2.0 * cos(pi * k / p) for k in ks), reverse=True)
     assert len(hints) == d
-    gap = min(hints[i] - hints[i + 1] for i in range(d - 1)) if d > 1 else 1.0
-    h = Fraction(min(gap / 4.0, 1e-6))
+    gap = min(hints[i] - hints[i + 1] for i in range(d - 1))
+    # grid step 2^-s <= gap/16: brackets four steps wide around hints at
+    # least `gap` apart are disjoint (checked exactly below), and the float
+    # hints are far closer to the roots than one grid step
+    s = max(20, (16.0 / gap).__ceil__().bit_length())
     brackets = []
     for i, val in enumerate(hints):
-        lo, hi = Fraction(val) - h, Fraction(val) + h
-        # the i-th root from the top of a separable polynomial with positive
-        # leading coefficient has sign (-1)^i just above it, (-1)^(i+1) below
-        want_hi = 1 if i % 2 == 0 else -1
-        slo = _eval_frac(mp.coeffs, lo)
-        shi = _eval_frac(mp.coeffs, hi)
-        if not ((shi > 0) == (want_hi > 0) and shi != 0 and (slo > 0) == (want_hi < 0) and slo != 0):
+        x = int(val * (1 << s))
+        lo, hi = x - 2, x + 2
+        # the i-th root from the top has f of sign (-1)^i just above it
+        up = 1 if i % 2 == 0 else -1
+        if not (
+            _horner_scaled(mp.coeffs, hi, s) * up > 0
+            and _horner_scaled(mp.coeffs, lo, s) * up < 0
+            and (not brackets or hi < brackets[-1][0])
+        ):
             raise PrecisionError(f"root bracket validation failed for p={p}")
-        brackets.append([lo, hi])
-    return {"brackets": brackets, "width_bits": 0}
+        brackets.append((lo, hi, s))
+    return {"brackets": brackets, "bits": 0, "fracs": None}
+
+
+def _refine_bracket(f, df, up, L, H, s, bits):
+    """Refine the one-root bracket [L/2^s, H/2^s] of f, where f has sign `up`
+    just above the root, until its width is at most 2^-bits (the argument is
+    in `_refined_roots`). `df` is the derivative of f."""
+    while (H - L) << bits > 1 << s:
+        m, e = L + H, s + 1  # the midpoint m / 2^e
+        fm = _horner_scaled(f, m, e)
+        k = s - (H - L - 1).bit_length()  # width <= 2^-k
+        t = min(2 * k - _NEWTON_GUARD, bits + 1)
+        dm = _horner_scaled(df, m, e) if t > k + 1 else 0
+        if dm:
+            # Newton: x = m/2^e - f/f' = (m*dm - fm) / (dm * 2^e), taken to
+            # the nearest multiple of 2^-t and bracketed by one step either side
+            num, den = m * dm - fm, dm
+            if t >= e:
+                num <<= t - e
+            else:
+                den <<= e - t
+            if den < 0:
+                num, den = -num, -den
+            x = (2 * num + den) // (2 * den)
+            lo, hi = x - 1, x + 1
+            if (
+                lo << s >= L << t
+                and hi << s <= H << t
+                and _horner_scaled(f, hi, t) * up > 0
+                and _horner_scaled(f, lo, t) * up < 0
+            ):
+                L, H, s = lo, hi, t
+                continue
+        if fm * up > 0:
+            L, H, s = 2 * L, m, e
+        else:
+            L, H, s = m, 2 * H, e
+    return L, H, s
 
 
 def _refined_roots(p, bits):
+    """Enclosures (lo, hi) of every conjugate root, largest first, at the
+    largest `bits` asked for so far for p.
+
+    Each conjugate root of the minimal polynomial f (degree d >= 2) sits in
+    a dyadic bracket [L/2^s, H/2^s] of integers, certified by one argument
+    that every refinement keeps:
+
+    * Start (`_init_roots`): d pairwise disjoint brackets, each with f of
+      opposite nonzero signs at its two ends, so each holds an odd number of
+      roots. f has only d roots, so each start bracket holds exactly one.
+    * Step (`_refine_bracket`): a new bracket replaces the old one only when
+      it lies inside the old one and exact scaled-integer Horner signs of f
+      at its two ends still straddle zero. It then holds a root, which can
+      only be the one root of the old bracket.
+    * f is irreducible of degree >= 2, so it has no rational root: no dyadic
+      end or midpoint evaluates to 0, and every sign taken is +-1.
+
+    The steps are Newton steps from the midpoint, where the error squares and
+    the precision about doubles, with halving at the midpoint (whose sign the
+    Newton step has already computed) when a step lands outside the old
+    bracket or fails to straddle. Newton brackets have H - L = 2, start
+    brackets H - L = 4, and halving keeps H - L and raises s by one.
+    Refinement to `bits` stops at the first bracket of width <= 2^-bits; a
+    Newton step never aims finer than that and a halving step starts wider,
+    so the width ends in (2^-(bits+1), 2^-bits] with s <= bits + 2.
+    """
     with _roots_lock:
         state = _roots_cache.get(p)
         if state is None:
             state = _init_roots(p)
             _roots_cache[p] = state
-        if state["width_bits"] is None:  # exact rational roots (degree 1)
-            return [tuple(b) for b in state["brackets"]]
-        if state["width_bits"] < bits:
-            mp = minimal_polynomial(p)
-            target = Fraction(1, 1 << bits)
-            for i, br in enumerate(state["brackets"]):
-                lo, hi = br
-                want_hi = 1 if i % 2 == 0 else -1
-                while hi - lo > target:
-                    mid = (lo + hi) / 2
-                    s = _eval_frac(mp.coeffs, mid)
-                    if s == 0:
-                        lo = hi = mid
-                        break
-                    if (s > 0) == (want_hi > 0):
-                        hi = mid
-                    else:
-                        lo = mid
-                br[0], br[1] = lo, hi
-            state["width_bits"] = bits
-        return [tuple(b) for b in state["brackets"]]
+        if state["bits"] is not None and state["bits"] < bits:
+            f = minimal_polynomial(p).coeffs
+            df = tuple(i * c for i, c in enumerate(f))[1:]
+            state["brackets"] = [
+                _refine_bracket(f, df, 1 if i % 2 == 0 else -1, L, H, s, bits)
+                for i, (L, H, s) in enumerate(state["brackets"])
+            ]
+            state["bits"] = bits
+            state["fracs"] = None
+        if state["fracs"] is None:
+            state["fracs"] = [
+                (Fraction(L, 1 << s), Fraction(H, 1 << s)) for L, H, s in state["brackets"]
+            ]
+        return state["fracs"]
 
 
 def lambda_interval(p, bits) -> RealInterval:
@@ -1004,6 +1086,11 @@ def ring_sqrt(D: RingElem):
     The ring is the full ring of integers of its field, so a square root in
     the field already has integer coefficients; candidates are recovered from
     certified enclosures of all real embeddings and then verified exactly.
+    The norm is multiplicative, N(w^2) = N(w)^2, so a D whose norm is not a
+    perfect square is no square and returns None before any enclosure is
+    refined. The test reads |N(D)| off the last Bareiss pivot, whose sign the
+    row swaps of the elimination can flip; a D of negative norm that passes
+    it is no square either, and the candidate search finds no root for it.
     """
     return _ring_sqrt(D.p, D.coeffs)
 
@@ -1022,6 +1109,9 @@ def _ring_sqrt(p, coeffs):
             return None
         s = isqrt(c)
         return RingElem.from_int(p, s) if s * s == c else None
+    n = abs(_bareiss(D)[d - 1][d - 1])  # |N(D)|
+    if isqrt(n) ** 2 != n:
+        return None
     if sign(D) < 0:
         return None
     for bits in (320, 1280):

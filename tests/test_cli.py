@@ -361,6 +361,15 @@ def test_stdout_digests_are_pinned():
             ["rpf", "--p", "4", "--word", "2", "--weight", "8", "--output", "json"],
             "5c837ca7bda1bf5199de997f21159e785a609ca74050e51afcb0b9f2aec7d309",
         ),
+        # certified decimals that refine lambda to 4096 and 16384 bits
+        (
+            ["cf", "--p", "11", "--word", "3,8", "--decimal-digits", "1000", "--output", "json"],
+            "20dd0ecf30125006451d7532ed9c9cf3e1518331894c3fc1cd55df593f4021c9",
+        ),
+        (
+            ["cf", "--p", "4", "--word", "2", "--decimal-digits", "2500", "--output", "json"],
+            "59c873a83707dc1c8b52670c000aec2af5220b9d8098b691dfaa4eba239bc4d3",
+        ),
     ]
     for argv, digest in golden:
         code, out, _ = run_cli(argv)

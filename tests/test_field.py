@@ -8,6 +8,7 @@ from math import gcd
 import mpmath as mp
 import sympy
 
+from heckerpf import field
 from heckerpf.field import (
     DomainError,
     ExtElem,
@@ -242,6 +243,62 @@ def test_conjugate_intervals():
             assert float(iv.lo) - 1e-12 <= v <= float(iv.hi) + 1e-12
 
 
+def _bracket_fails(p, order):
+    """What is wrong with the root brackets of p, with the enclosures asked
+    for at the precisions of `order` one after another. Each read must be
+    the bracket of the largest precision asked so far."""
+    mp_ = minimal_polynomial(p)
+    n = mp_.degree
+    fails, finest = [], 0
+    for bits in order:
+        finest = max(finest, bits)
+        ivs = conjugate_intervals(p, bits)
+        assert ivs[0].lo == lambda_interval(p, bits).lo
+        for i, iv in enumerate(ivs):
+            # den^n f(num/den), which has the sign of f(num/den)
+            f_lo, f_hi = (
+                sum(c * x.numerator**j * x.denominator ** (n - j) for j, c in enumerate(mp_.coeffs))
+                for x in (iv.lo, iv.hi)
+            )
+            if n == 1:
+                ok = iv.lo == iv.hi and f_lo == 0
+            else:
+                # the i-th root from the top has f of sign (-1)^i just above it
+                up = (-1) ** i
+                ok = (
+                    f_hi * up > 0
+                    and f_lo * up < 0
+                    and Fraction(1, 2 ** (finest + 1)) < iv.width() <= Fraction(1, 2**finest)
+                )
+            for end in (iv.lo, iv.hi):
+                den = end.denominator
+                ok = ok and den & (den - 1) == 0 and den <= 2 ** (finest + 2)
+            if not ok:
+                fails.append((p, order, bits, i))
+    return fails
+
+
+def test_root_brackets_certified_in_any_order():
+    # Newton and halving steps keep dyadic brackets whose ends straddle the
+    # root; a read returns the bracket of the finest precision asked so far
+    rng = random.Random(2026)
+    fails = []
+    with field._roots_lock:
+        saved = dict(field._roots_cache)
+    try:
+        for p in range(3, 31):
+            for order in ((64, 1280, 4096), tuple(rng.sample((64, 1280, 4096), 3))):
+                with field._roots_lock:
+                    field._roots_cache.pop(p, None)
+                fails += _bracket_fails(p, order)
+    finally:
+        # later tests at these p would otherwise sign on 4096-bit brackets
+        with field._roots_lock:
+            field._roots_cache.clear()
+            field._roots_cache.update(saved)
+    assert not fails
+
+
 def test_ext_examples():
     D2 = RingElem.from_int(4, 2)
     one = ExtElem(1, 1, D2) * ExtElem(-1, 1, D2)
@@ -320,13 +377,32 @@ def test_ring_sqrt_examples():
 
 def test_ring_sqrt_random_roundtrip():
     rng = random.Random(424242)
-    for p in (3, 4, 5, 6, 7, 8):
+    for p in range(3, 16):
         for _ in range(10):
             w = rand_ring(rng, p)
             r = ring_sqrt(w * w)
             assert r is not None
             assert r * r == w * w
             assert sign(r) >= 0
+
+
+def test_ring_sqrt_norm_filter(monkeypatch):
+    # N(3) = 9 at p = 4 and N(7) = 49 at p = 5 are squares, so these reach
+    # the candidate search, which finds no root; N(lambda) = -2 at p = 4 is
+    # no square and stops at the norm. 1 + lambda at p = 4 has norm -1: |N|
+    # passes the filter and the candidate search rejects it.
+    calls = []
+    real = field.conjugate_intervals
+    monkeypatch.setattr(field, "conjugate_intervals", lambda p, bits: calls.append(p) or real(p, bits))
+    for D, searched in (
+        (RingElem.from_int(4, 3), True),
+        (RingElem.from_int(5, 7), True),
+        (lambda_elem(4), False),
+        (lambda_elem(4) + 1, True),
+    ):
+        calls.clear()
+        assert field._ring_sqrt.__wrapped__(D.p, D.coeffs) is None
+        assert bool(calls) == searched, D
 
 
 def test_field_sqrt():
