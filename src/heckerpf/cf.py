@@ -18,12 +18,11 @@ from __future__ import annotations
 from .field import (
     DomainError,
     FieldElem,
-    PrecisionError,
     RingElem,
-    _SIGN_BITS,
     _iv_add,
     _iv_div,
     _iv_sqrt,
+    _refine,
     decimal_of,
     lambda_elem,
     lambda_interval,
@@ -101,6 +100,14 @@ class CF:
         return {"preperiod": list(self.preperiod), "period": list(self.period)}
 
 
+def _triple_interval(P, Q, D, bits):
+    """Enclosure of (P + sqrt(D))/Q at `bits`, or None while Q's holds 0."""
+    qiv = Q.interval(bits)
+    if qiv.contains_zero():
+        return None
+    return _iv_div(_iv_add(P.interval(bits), _iv_sqrt(D.interval(bits), bits)), qiv)
+
+
 class Surd:
     """Quadratic surd (P + sqrt(D))/Q with P, Q, D in Z[lambda], sqrt(D)
     the nonnegative root. Q must be nonzero and D nonnegative under the
@@ -166,14 +173,8 @@ class Surd:
         return (n.P.coeffs, n.Q.coeffs, n.D.coeffs)
 
     def interval(self, bits):
-        for b in (bits,) + tuple(x for x in _SIGN_BITS if x > bits):
-            qiv = self.Q.interval(b)
-            if not qiv.contains_zero():
-                piv = self.P.interval(b)
-                div = self.D.interval(b)
-                num = _iv_add(piv, _iv_sqrt(div, b))
-                return _iv_div(num, qiv)
-        raise PrecisionError("could not separate a nonzero denominator from 0")
+        """An enclosure at `bits`, or None while Q's enclosure holds 0."""
+        return _triple_interval(self.P, self.Q, self.D, bits)
 
     def _coerce(self, other):
         if isinstance(other, Surd):
@@ -209,14 +210,14 @@ class Surd:
     def _cmp(self, other) -> int:
         if self == other:
             return 0
-        for bits in (64,) + _SIGN_BITS:
-            a = self.interval(bits)
-            b = other.interval(bits)
-            if a.lo > b.hi:
-                return 1
-            if a.hi < b.lo:
-                return -1
-        raise PrecisionError("could not order two unequal surds")
+
+        def decide(bits):
+            a, b = self.interval(bits), other.interval(bits)
+            if a is None or b is None:
+                return None
+            return 1 if a.lo > b.hi else -1 if a.hi < b.lo else None
+
+        return _refine(decide)
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -285,28 +286,16 @@ def surd_latex(alpha: Surd) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _floor_field_over_lambda(x: FieldElem) -> int:
-    p = x.p
-    lam = FieldElem(lambda_elem(p))
-    for bits in (64,) + _SIGN_BITS:
-        q = _iv_div(x.interval(bits), lambda_interval(p, bits))
-        flo, fhi = q.lo.__floor__(), q.hi.__floor__()
-        if flo == fhi:
-            return flo
-        if fhi == flo + 1 and x == lam * fhi:
-            return fhi
-    raise PrecisionError("floor against lambda did not converge (field value)")
-
-
 def _floor_triple(p, P, Q, D) -> int:
+    """floor(alpha/lambda) for alpha = (P + sqrt(D))/Q; a field value
+    num/den comes in as the triple (num, den, 0)."""
     lam = lambda_elem(p)
-    for bits in (64,) + _SIGN_BITS:
-        qiv = Q.interval(bits)
-        if qiv.contains_zero():
-            continue
-        num = _iv_add(P.interval(bits), _iv_sqrt(D.interval(bits), bits))
-        alpha_iv = _iv_div(num, qiv)
-        q = _iv_div(alpha_iv, lambda_interval(p, bits))
+
+    def decide(bits):
+        alpha = _triple_interval(P, Q, D, bits)
+        if alpha is None:
+            return None
+        q = _iv_div(alpha, lambda_interval(p, bits))
         flo, fhi = q.lo.__floor__(), q.hi.__floor__()
         if flo == fhi:
             return flo
@@ -315,7 +304,9 @@ def _floor_triple(p, P, Q, D) -> int:
             t = lam * (fhi * Q) - P
             if t * t == D and sign(t) >= 0:
                 return fhi
-    raise PrecisionError("floor against lambda did not converge")
+        return None
+
+    return _refine(decide)
 
 
 def floor_over_lambda(alpha: Surd) -> int:
@@ -359,6 +350,7 @@ def cf_expand(alpha: Surd, max_steps: int = 10000) -> CF:
     folded = alpha.folded_value()
     if folded is not None:
         lam = FieldElem(lambda_elem(p))
+        zero = RingElem.from_int(p, 0)
 
         def step_f(value, r):
             nxt = 1 / (lam * r - value)
@@ -366,7 +358,7 @@ def cf_expand(alpha: Surd, max_steps: int = 10000) -> CF:
 
         return _expand_states(
             p, ((folded.num.coeffs, folded.den), folded), step_f,
-            _floor_field_over_lambda, max_steps,
+            lambda x: _floor_triple(p, x.num, RingElem.from_int(p, x.den), zero), max_steps,
         )
 
     start = alpha.normalized()

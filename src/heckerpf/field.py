@@ -44,9 +44,6 @@ __all__ = [
     "poly_latex",
 ]
 
-_SIGN_BITS = (128, 256, 512, 1024, 2048, 4096, 8192)
-
-
 class DomainError(ValueError):
     """An argument lies outside the domain of the requested operation."""
 
@@ -68,8 +65,8 @@ class ZeroDivisor(ArithmeticError):
 
 
 class PrecisionError(AssertionError):
-    """Interval refinement hit the hard precision cap (an internal bug:
-    every quantity we refine has been proven nonzero beforehand)."""
+    """Exact validation of the float root hints failed in `_init_roots` (an
+    internal bug), its only source: `_refine` has no precision cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -718,16 +715,6 @@ class ExtElem:
     def is_zero(self):
         return self.u.is_zero() and self.v.is_zero()
 
-    def interval(self, bits):
-        iv = self.u.interval(bits)
-        if self.v.is_zero():
-            return iv
-        dv = _eval_iv(self.D.coeffs, lambda_interval(self.p, bits))
-        if dv.hi < 0:
-            raise DomainError("negative discriminant has no real square root")
-        root = _iv_sqrt(dv, bits)
-        return _iv_add(iv, _iv_mul(self.v.interval(bits), root))
-
     def __repr__(self):
         return f"ExtElem(p={self.p}, u={self.u!r}, v={self.v!r}, D={poly_str(self.D.coeffs, 'λ')})"
 
@@ -994,15 +981,35 @@ def conjugate_intervals(p, bits):
     return [RealInterval(lo, hi, bits) for lo, hi in _refined_roots(p, bits)]
 
 
+def _refine(decide):
+    """The first result other than None of decide(bits) for bits = 128, 256,
+    512, ... with no cap: the one precision schedule of every certified
+    decision. It ends because every caller keeps two rules:
+
+    * `decide` only separates from 0 a quantity already proved nonzero by an
+      exact test (`is_zero`, `Surd.__eq__`, the Q != 0 check in
+      `Surd.__init__`), or asks for the floor of a value that is irrational
+      (`decimal_of`) or whose boundary case m*lambda it decides exactly
+      (`cf._floor_triple`). What is left lies at a positive distance from 0
+      or from the nearest boundary.
+    * The width of every enclosure `decide(bits)` builds goes to 0 as bits
+      grows (lambda's brackets are at most 2^-bits wide), so some finite
+      precision makes it narrower than that distance."""
+    bits = 128
+    while True:
+        out = decide(bits)
+        if out is not None:
+            return out
+        bits *= 2
+
+
 @lru_cache(maxsize=65536)
 def _ring_sign_refined(p, coeffs):
-    for bits in _SIGN_BITS:
+    def decide(bits):
         iv = _eval_iv(coeffs, lambda_interval(p, bits))
-        if iv.lo > 0:
-            return 1
-        if iv.hi < 0:
-            return -1
-    raise PrecisionError("sign refinement exhausted for a nonzero ring element")
+        return 1 if iv.lo > 0 else -1 if iv.hi < 0 else None
+
+    return _refine(decide)
 
 
 def sign(x) -> int:
@@ -1028,26 +1035,20 @@ def sign(x) -> int:
 
 
 def _ext_sign(x: ExtElem) -> int:
+    """sign(u + v*sqrt(D)) by exact signs in Q(lambda). With M = v^2 D - u^2:
+    M < 0 gives |u| > |v| sqrt(D), so u decides; M > 0 gives the reverse, so
+    v decides; M = 0 gives equal sizes, so the sum is 0 unless u and v share
+    their sign. `isp._nonnegative` is the case v = 1 on ring elements, with
+    the sign of D - P^2 that `_is_simple` also takes."""
     if x.v.is_zero():
         return sign(x.u)
-    sD = sign(x.D)
-    if sD < 0:
+    if sign(x.D) < 0:
         raise DomainError("sign of an element with negative discriminant")
-    if sD == 0:
-        return sign(x.u)
-    if x.u.is_zero():
+    m = sign(x.v * x.v * FieldElem(x.D) - x.u * x.u)
+    if m > 0:
         return sign(x.v)
-    # dangerous diagonal u^2 = v^2 D, where intervals would never separate
-    if x.u * x.u == x.v * x.v * FieldElem(x.D):
-        su, sv = sign(x.u), sign(x.v)
-        return 0 if su != sv else su
-    for bits in _SIGN_BITS:
-        iv = x.interval(bits)
-        if iv.lo > 0:
-            return 1
-        if iv.hi < 0:
-            return -1
-    raise PrecisionError("sign refinement exhausted for a nonzero extension element")
+    su = sign(x.u)
+    return su if m < 0 or su == sign(x.v) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -1163,30 +1164,30 @@ def _decimal_body(n: int, scale: int, digits: int) -> str:
 
 def decimal_of(make_interval, digits: int, exact=None) -> str:
     """Deterministic decimal rendering: the value is floored to `digits`
-    places once an enclosure pins that floor down. make_interval(bits) must
-    return enclosures whose width goes to 0 as bits grows.  An exactly
-    rational value must come in as `exact`: it can sit on a flooring
-    boundary, which no enclosure ever decides.
+    places once an enclosure pins that floor down. make_interval(bits)
+    returns an enclosure, or None while it has none at that precision, and
+    its enclosures' width goes to 0 as bits grows. An exactly rational value
+    must come in as `exact`: it can sit on a flooring boundary, which no
+    enclosure ever decides.
 
     Without `exact` the value is irrational, so value * 10^digits is not an
     integer and lies at a positive distance from the nearest flooring
-    boundary. Past the _SIGN_BITS ladder the precision keeps doubling with
-    no cap; once an enclosure is narrower than that distance its endpoints
-    floor alike, so the loop ends for every digit count."""
+    boundary. Once an enclosure is narrower than that distance its
+    endpoints floor alike, so `_refine` ends for every digit count."""
     if digits < 1:
         raise DomainError("digits must be >= 1")
     scale = 10**digits
     if exact is not None:
         return _decimal_body((exact * scale).__floor__(), scale, digits)
-    bits = 64
-    ladder = iter(_SIGN_BITS)
-    while True:
+
+    def decide(bits):
         iv = make_interval(bits)
+        if iv is None:
+            return None
         nlo = (iv.lo * scale).__floor__()
-        nhi = (iv.hi * scale).__floor__()
-        if nlo == nhi:
-            return _decimal_body(nlo, scale, digits)
-        bits = next(ladder, 2 * bits)
+        return nlo if nlo == (iv.hi * scale).__floor__() else None
+
+    return _decimal_body(_refine(decide), scale, digits)
 
 
 def _poly_render(coeffs, var, power, gap) -> str:

@@ -119,7 +119,9 @@ def _nonnegative(P, D) -> bool:
 
     If P >= 0 both terms are >= 0. If P < 0, then P + sqrt(D) >= 0 iff
     sqrt(D) >= -P > 0 iff D >= P^2, both sides of the square being
-    nonnegative. So P + sqrt(D) >= 0 iff D - P^2 >= 0 or P >= 0."""
+    nonnegative. So P + sqrt(D) >= 0 iff D - P^2 >= 0 or P >= 0. This is
+    `field._ext_sign`'s rule for v = 1, kept on ring elements in the
+    orientation D - P^2, whose signs `_is_simple` shares in the cache."""
     return sign(D - P * P) >= 0 or sign(P) >= 0
 
 

@@ -14,7 +14,7 @@ period functions downstream.
 from __future__ import annotations
 
 from .cf import Parabolic, Surd, _fixed_point, _steps_matrix, cf_expand, is_parabolic_period, mobius_apply
-from .field import DomainError, RingElem, poly_str, sign
+from .field import DomainError, RingElem, poly_str, ring_div_exact, sign
 from .group import Mat, classify, generator
 
 __all__ = [
@@ -99,6 +99,17 @@ def form_of_matrix(m: Mat) -> QForm:
     t = m.trace()
     assert qf.disc() == t * t - 4
     return qf
+
+
+def _form_of_root(alpha: Surd) -> QForm:
+    """The form [Q/2, -P, (P^2 - D)/(2Q)], of discriminant D, whose first
+    root is alpha = (P + sqrt(D))/Q. Both divisions are exact for a matrix
+    fixed point (a - d + sqrt(t^2 - 4))/(2c) and its lambda-translates."""
+    P, Q = alpha.P, alpha.Q
+    two = RingElem.from_int(alpha.p, 2)
+    A, C = ring_div_exact(Q, two), ring_div_exact(P * P - alpha.D, two * Q)
+    assert A is not None and C is not None, "root triple has no ring form"
+    return QForm(A, -P, C)
 
 
 def fixed_points(m: Mat):

@@ -36,13 +36,12 @@ from .field import (
     field_sqrt,
     fold_ext,
     poly_latex,
-    ring_div_exact,
     ring_sqrt,
     sign,
 )
 from .cf import Surd, surd_latex
 from .group import generator
-from .quadforms import QForm, is_simple, matrix_of_surd, negate, form_of_matrix
+from .quadforms import QForm, _form_of_root, is_simple
 from .isp import isp_of_word
 
 
@@ -342,15 +341,10 @@ class RPF:
     @property
     def _forms(self):
         """The (s, form) pairs of a form-power function, else None.  Only
-        each form's first root (-B + sqrt(disc))/(2A) is kept, as the pole
-        terms hold it anyway; A = Q/2, B = -P and C = (P^2 - D)/(2Q)."""
+        each form's first root is kept, as the pole terms hold it anyway."""
         if self._roots is None:
             return None
-        two = RingElem.from_int(self.p, 2)
-        return tuple(
-            (s, QForm(ring_div_exact(a.Q, two), -a.P, ring_div_exact(a.P * a.P - a.D, two * a.Q)))
-            for s, a in self._roots
-        )
+        return tuple((s, _form_of_root(a)) for s, a in self._roots)
 
     def has_zero_pole(self):
         a0, b1 = self.zero_part
@@ -530,11 +524,8 @@ def principal_part(k, alpha: Surd):
 def _simple_form(alpha: Surd) -> QForm:
     """The quadratic form with positive leading coefficient whose first
     root is alpha (alpha must exceed 0 with a negative conjugate)."""
-    f = form_of_matrix(matrix_of_surd(alpha))
-    if sign(f.A) < 0:
-        f = negate(f)
+    f = _form_of_root(alpha)
     assert is_simple(f), "the pole is not simple"
-    assert f.first_root() == alpha, "form reconstruction missed the pole"
     return f
 
 

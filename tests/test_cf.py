@@ -68,6 +68,16 @@ def reduced_by_inequalities(beta: Surd) -> bool:
     return False
 
 
+def near_three_lambda(n):
+    """3*lambda - (1 - sqrt2)^n at p = 5, as the surd 3*lambda - a + sqrt(2 b^2)
+    with (1 + sqrt2)^n = a + b*sqrt2. Below 3*lambda for even n, above it for
+    odd n; at n = 6600 the gap is about 2^-8392."""
+    a, b = 1, 0
+    for _ in range(n):
+        a, b = a + 2 * b, a + b
+    return Surd(3 * lambda_elem(5) - a, 1, RingElem.from_int(5, 2 * b * b))
+
+
 def test_cf_expand_examples():
     assert cf_expand(Surd.make(3, 3, 2, 5)) == CF(3, [], [3])
     assert cf_expand(Surd.make(4, 1, 1, 2)) == CF(4, [], [2])
@@ -76,7 +86,7 @@ def test_cf_expand_examples():
     assert same_up_to_rotation(got.period, (1, 2))
 
 
-def test_floor_over_lambda_examples():
+def test_floor_over_lambda_examples(own_root_brackets):
     assert floor_over_lambda(Surd.make(3, 3, 2, 5)) == 2
     # exact boundary: sqrt2 / lambda = 1 in the p=4 group
     assert floor_over_lambda(Surd.make(4, 0, 1, 2)) == 1
@@ -84,6 +94,9 @@ def test_floor_over_lambda_examples():
     # negatives floor downward
     assert floor_over_lambda(Surd.make(6, 0, -1, 2)) == -1
     assert floor_over_lambda(Surd.make(4, 0, -1, 2)) == -1
+    # separating alpha from 3*lambda takes more than 8192 bits
+    assert floor_over_lambda(near_three_lambda(6600)) == 2
+    assert floor_over_lambda(near_three_lambda(6601)) == 3
 
 
 def test_admissibility_examples():
@@ -245,7 +258,7 @@ def test_reduced_versus_inequality_oracle():
             checked += 1
 
 
-def test_surd_equality_and_order():
+def test_surd_equality_and_order(own_root_brackets):
     # sqrt8/2 equals sqrt2 despite different triples
     assert Surd.make(6, 0, 2, 8) == Surd.make(6, 0, 1, 2)
     assert Surd.make(6, 0, -2, 8) == Surd.make(6, 0, -1, 2)
@@ -256,6 +269,9 @@ def test_surd_equality_and_order():
     assert Surd.make(3, -1, 2, 5) < 1
     lam6 = lambda_elem(6)
     assert Surd.make(6, 0, 1, 2) < FieldElem(lam6)  # sqrt2 < sqrt3
+    three_lam5 = 3 * lambda_elem(5)
+    assert near_three_lambda(6600) < three_lam5
+    assert not near_three_lambda(6601) < three_lam5
     # square-D surd equals its folded field value
     assert Surd.make(4, 1, 1, 2) == Surd.from_field(FieldElem(lambda_elem(4) + 1))
 

@@ -378,8 +378,8 @@ def test_stdout_digests_are_pinned():
 
 
 def test_decimals_past_the_sign_ladder():
-    # 2500 digits need more than the 8192 bits of the sign ladder; the
-    # precision keeps doubling, and the digits extend the 2400-digit floor
+    # 2500 digits need more than 8192 bits; the precision doubles with no
+    # cap, and the digits extend the 2400-digit floor
     def reduced_decimal(digits):
         argv = ["cf", "--p", "3", "--word", "1,2", "--output", "json", "--decimal-digits", str(digits)]
         code, out, _ = run_cli(argv)

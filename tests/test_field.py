@@ -52,6 +52,14 @@ def mp_ext(x):
     return val
 
 
+def fib_pair(n):
+    """(F_n, F_(n+1)), Fibonacci numbers."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b
+
+
 def rand_ring(rng, p):
     d = minimal_polynomial(p).degree
     return RingElem(p, [rng.randint(-9, 9) for _ in range(d)])
@@ -193,7 +201,7 @@ def test_ring_inverse_examples():
             pass
 
 
-def test_sign_examples():
+def test_sign_examples(own_root_brackets):
     lam6 = lambda_elem(6)
     assert sign(lam6 - 1) == 1
     assert sign(lam6 - 2) == -1
@@ -204,6 +212,14 @@ def test_sign_examples():
     assert sign(ExtElem(0, 1, D2)) == 1
     assert sign(ExtElem(1, -1, D2)) == -1
     assert sign(ExtElem(2, -1, RingElem.from_int(4, 4))) == 0  # 2 - sqrt(4)
+    # past 8192 bits: at p=5 lambda is the golden ratio phi, and
+    # F_12001 - F_12000 * phi = phi^-12000 is about 2^-8331
+    f0, f1 = fib_pair(12000)
+    assert sign(RingElem(5, (f1, -f0))) == 1
+    # L_n - F_n * sqrt5 = 2 (-1/phi)^n
+    for n in (12000, 12001):
+        fn, fn1 = fib_pair(n)
+        assert sign(ExtElem(2 * fn1 - fn, -fn, RingElem.from_int(3, 5))) == (-1) ** n
 
 
 def test_sign_matches_embedding():
@@ -219,6 +235,25 @@ def test_sign_matches_embedding():
                 assert v * s > 0
             b = rand_ring(rng, p)
             assert sign(a * b) == sign(a) * sign(b)
+    # u + v*sqrt(D) with D = r^2 + c*lambda, c >= 0, and u = +-v*r plus a
+    # perturbation that is often 0: on or near the diagonal u^2 = v^2 D
+    seen = set()
+    for p in (3, 4, 5, 6, 7, 8):
+        lam = lambda_elem(p)
+        for _ in range(40):
+            r = rand_ring(rng, p)
+            D = r * r + rng.choice((0, 0, 1, 2)) * lam
+            v = FieldElem(rand_ring(rng, p), rng.randint(1, 9))
+            e = FieldElem(rand_ring(rng, p), rng.randint(1, 99)) if rng.random() < 0.5 else 0
+            x = ExtElem(rng.choice((1, -1)) * v * r + e, v, D)
+            s = sign(x)
+            val = mp_ext(x)
+            if s == 0:
+                assert abs(val) < mp.mpf(10) ** -40
+            else:
+                assert val * s > 0
+            seen.add((s, x.u * x.u == x.v * x.v * FieldElem(D)))
+    assert seen == {(s, diag) for s in (-1, 0, 1) for diag in (True, False)} - {(0, False)}
 
 
 def test_lambda_interval():
@@ -278,24 +313,16 @@ def _bracket_fails(p, order):
     return fails
 
 
-def test_root_brackets_certified_in_any_order():
+def test_root_brackets_certified_in_any_order(own_root_brackets):
     # Newton and halving steps keep dyadic brackets whose ends straddle the
     # root; a read returns the bracket of the finest precision asked so far
     rng = random.Random(2026)
     fails = []
-    with field._roots_lock:
-        saved = dict(field._roots_cache)
-    try:
-        for p in range(3, 31):
-            for order in ((64, 1280, 4096), tuple(rng.sample((64, 1280, 4096), 3))):
-                with field._roots_lock:
-                    field._roots_cache.pop(p, None)
-                fails += _bracket_fails(p, order)
-    finally:
-        # later tests at these p would otherwise sign on 4096-bit brackets
-        with field._roots_lock:
-            field._roots_cache.clear()
-            field._roots_cache.update(saved)
+    for p in range(3, 31):
+        for order in ((64, 1280, 4096), tuple(rng.sample((64, 1280, 4096), 3))):
+            with field._roots_lock:
+                field._roots_cache.pop(p, None)
+            fails += _bracket_fails(p, order)
     assert not fails
 
 
