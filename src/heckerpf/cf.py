@@ -50,6 +50,7 @@ __all__ = [
     "is_reduced",
     "mobius_apply",
     "surd_latex",
+    "surd_str",
 ]
 
 
@@ -256,10 +257,13 @@ class Surd:
         }
 
     def __repr__(self):
-        return (
-            f"Surd(p={self.p}, ({poly_str(self.P.coeffs, 'λ')} + "
-            f"√({poly_str(self.D.coeffs, 'λ')})) / ({poly_str(self.Q.coeffs, 'λ')}))"
-        )
+        return f"Surd(p={self.p}, {surd_str(self)})"
+
+
+def surd_str(alpha: Surd) -> str:
+    """One-line plain text (P + √(D)) / (Q), with λ for lambda."""
+    P, Q, D = (poly_str(x.coeffs, "λ") for x in (alpha.P, alpha.Q, alpha.D))
+    return f"({P} + √({D})) / ({Q})"
 
 
 def surd_latex(alpha: Surd) -> str:

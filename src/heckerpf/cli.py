@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 
-from .cf import cf_expand, period_to_word, surd_latex, word_to_period
+from .cf import cf_expand, period_to_word, surd_latex, surd_str, word_to_period
 from .field import DomainError, minimal_polynomial, poly_latex, poly_str
 from .group import GenWord
 from .isp import count_isps, enumerate_isps, isp_of_word
@@ -45,14 +45,6 @@ NO_SOLUTION_MESSAGE = "no RPF exists for this (ISP, weight) under this template"
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
-def _surd_str(alpha) -> str:
-    """One-line plain-text rendering (P + sqrt(D)) / Q of a surd."""
-    P = poly_str(alpha.P.coeffs, "λ")
-    Q = poly_str(alpha.Q.coeffs, "λ")
-    D = poly_str(alpha.D.coeffs, "λ")
-    return f"({P} + √({D})) / ({Q})"
 
 
 def _cf_latex(expansion) -> str:
@@ -171,7 +163,7 @@ def _cmd_isps(args, parser) -> int:
             word = ",".join(str(x) for x in s.word.letters)
             print(f"word {word}  {shape}  conjugate {conj}")
             for a in s.positives:
-                print(f"  {_surd_str(a)} ≈ {a.decimal(digits)}")
+                print(f"  {surd_str(a)} ≈ {a.decimal(digits)}")
     return 0
 
 
@@ -202,7 +194,7 @@ def _cmd_cf(args, parser) -> int:
         word = ",".join(str(x) for x in w.letters)
         print(f"word {word}")
         print(f"period {list(period)}")
-        print(f"reduced number {_surd_str(beta)} ≈ {beta.decimal(digits)}")
+        print(f"reduced number {surd_str(beta)} ≈ {beta.decimal(digits)}")
         print(f"expansion preperiod={list(expansion.preperiod)} period={list(expansion.period)}")
     return 0
 
@@ -303,18 +295,15 @@ def _cmd_rpf(args, parser) -> int:
             print(NO_SOLUTION_MESSAGE)
         return 0
 
-    if isinstance(result, SolutionFamily):
-        for q in (result.basepoint, *result.directions):
-            r = verify(q)
-            if not r.valid:
-                raise DomainError(f"construction failed verification: {r.witness}")
+    family = isinstance(result, SolutionFamily)
+    for q in (result.basepoint, *result.directions) if family else (result,):
+        r = verify(q)
+        if not r.valid:
+            raise DomainError(f"construction failed verification: {r.witness}")
+    if family:
         _print_family(args, w, mode, result)
-        return 0
-
-    r = verify(result)
-    if not r.valid:
-        raise DomainError(f"construction failed verification: {r.witness}")
-    _print_rpf(args, w, mode, result)
+    else:
+        _print_rpf(args, w, mode, result)
     return 0
 
 

@@ -11,13 +11,16 @@ inversion z -> -1/z:
 
 where (a_j, b_j; c_j, d_j) are the entries of M^j.  Everything is exact:
 coefficients live in Q(lambda) adjoined with sqrt(D), and square
-discriminants are folded down to Q(lambda).  `verify` writes both sides of
-each relation as partial fractions over that field and proves that every
-merged coefficient is exactly zero, so a "valid" answer is a proof of the
-identity and not a numerical impression.  `build_ansatz` solves for an
-unknown tail on the same merged coefficients, which are linear in the
-tail.  Sampling the residuals at more points than the degree of any
-residual that could occur is kept only to find a witness point for an
+discriminants are folded down to Q(lambda).  Every routine reads q in one
+form: a constant plus atoms c (z - beta)^(-n), grouped by pole, with the
+zero part and the tail as atoms at the pole 0 (`_atoms`).  `verify` slashes
+the atoms of both sides of each relation into partial fractions over that
+field and proves that every merged coefficient is exactly zero, so a
+"valid" answer is a proof of the identity and not a numerical impression.
+`build_ansatz` solves for an unknown tail on the same merged coefficients,
+which are linear in the tail.  `evaluate` and the two residuals sum the
+atoms at points; sampling the residuals at more points than the degree of
+any residual that could occur is kept only to find a witness point for an
 invalid function.
 """
 
@@ -48,9 +51,10 @@ from .isp import isp_of_word
 class PoleHit(DomainError):
     """Raised when an evaluation point lands on a pole.
 
-    The offending pole is kept on the `pole` attribute: a Surd for a
-    finite irrational pole, an exact number for a rational one, or 0 for
-    the pole at the origin contributed by the zero/tail part.
+    The offending pole is kept on the `pole` attribute: the Surd of a pole
+    term, 0 for the pole at the origin contributed by the zero/tail part,
+    or, in a residual, the field value -d/c that a matrix (a b; c d) of the
+    relation sends to infinity.
     """
 
     def __init__(self, message, pole=None):
@@ -649,17 +653,24 @@ def build_union(k, system) -> RPF:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and the two relations
+# the atom form of q, evaluation and the two relations
 # ---------------------------------------------------------------------------
 
 
-def _eval_plan(q: RPF):
-    """Group the pole terms by location and precompute per pole its exact
-    value beta = u + v sqrt(D) as an ExtElem (v = 0 when D is a square and
-    beta is the folded field value, else u = P/Q and v = 1/Q) and, for a
-    non-square D, the constant part D v^2 of the norm of z - beta.  The
-    public evaluators build one per call, `_sampled_verify` one per walk,
-    and `_atoms` reads its pole values."""
+def _atoms(q: RPF):
+    """q as atoms c (z - beta)^(-n) plus a constant: a tuple of groups
+    (pole, beta, D v^2, ((n, c), ...)), one per pole with its pairs sorted
+    by order, and the constant a0.
+
+    A pole term's beta = u + v sqrt(D) is an ExtElem: v = 0 when D is a
+    square and beta is the folded field value, else u = P/Q and v = 1/Q,
+    and the third entry is then the constant part D v^2 of the norm of
+    z - beta (None when v = 0).  The zero part a0 (1 - z^(-2k)) + b1/z and
+    the tail give the group at pole 0: b1 and tail entry t_n at orders 1
+    and n, and -a0 at order 2k.  Orders may repeat within a group (b1 and
+    t_1 at weight 2, or pole terms that share a pole and an order), so the
+    pairs are sorted by order alone, as coefficients have no order;
+    repeated atoms simply add."""
     groups = {}
     for t in q.pole_terms:
         key = t.alpha.key()
@@ -669,7 +680,7 @@ def _eval_plan(q: RPF):
     zero = _zero_field(q.p)
     entries = []
     for alpha, pairs in groups.values():
-        pairs.sort()
+        pairs.sort(key=lambda pair: pair[0])
         root = _disc_root(alpha.D)
         if root is not None:
             value = (FieldElem(alpha.P) + root) / FieldElem(alpha.Q)
@@ -678,23 +689,29 @@ def _eval_plan(q: RPF):
             q_inv = 1 / FieldElem(alpha.Q)
             beta = ExtElem(FieldElem(alpha.P) * q_inv, q_inv, alpha.D)
             entries.append((alpha, beta, q_inv * q_inv * FieldElem(alpha.D), tuple(pairs)))
-    return tuple(entries)
+    a0, b1 = q.zero_part
+    at_zero = [(1, b1)] + list(enumerate(q.tail, start=1)) + [(2 * q.k, -a0)]
+    at_zero = tuple((n, c) for n, c in at_zero if not c.is_zero())
+    if at_zero:
+        entries.append((0, _ext_of(q.p, 0), None, at_zero))
+    return tuple(entries), a0
 
 
-def _evaluate(q: RPF, plan, z: FieldElem) -> ExtElem:
-    total = _ext_of(q.p, 0)
-    for alpha, beta, d_v2, pairs in plan:
+def _evaluate(atoms, z: FieldElem) -> ExtElem:
+    """The sum of the atoms at z; PoleHit names the pole of the group hit."""
+    groups, total = atoms
+    for pole, beta, d_v2, pairs in groups:
         if d_v2 is None:
             den = z - beta.u
             if den.is_zero():
-                raise PoleHit(f"the point is the pole {alpha!r}", pole=alpha)
+                raise PoleHit(f"the point is the pole {pole!r}", pole=pole)
             inv = 1 / den
         else:
             # (z - beta)^-1 done by hand: the norm of z - u - v sqrt(D) is
             # (z - u)^2 - D v^2, never zero since D is not a square.
             u = z - beta.u
             ninv = 1 / (u * u - d_v2)
-            inv = ExtElem(u * ninv, beta.v * ninv, alpha.D)
+            inv = ExtElem(u * ninv, beta.v * ninv, beta.D)
         power = inv
         at = 1
         for order, coeff in pairs:
@@ -702,76 +719,53 @@ def _evaluate(q: RPF, plan, z: FieldElem) -> ExtElem:
                 power = power * inv
                 at += 1
             total = total + coeff * power
-    if q.has_zero_pole():
-        if z.is_zero():
-            raise PoleHit("the point 0 is a pole of the zero/tail part", pole=0)
-        z_inv = 1 / z
-        a0, b1 = q.zero_part
-        if not a0.is_zero():
-            total = total + a0 - a0 * (z_inv ** (2 * q.k))
-        if not b1.is_zero():
-            total = total + b1 * z_inv
-        for n, c in enumerate(q.tail, start=1):
-            if not c.is_zero():
-                total = total + c * (z_inv ** n)
     return total
 
 
 def evaluate(q: RPF, z) -> ExtElem:
-    """The exact value q(z) for z in the base field.
-
-    Raises PoleHit at any pole, including the origin when the zero/tail
-    part is present (detected through the exact zero test that guards
-    inversion in the field)."""
-    return _evaluate(q, _eval_plan(q), _as_field(q.p, z))
+    """The exact value q(z) for z in the base field, summed over the atoms
+    of q (`_atoms`).  Raises PoleHit at any pole, which is 0 when the zero
+    part or the tail is present."""
+    return _evaluate(_atoms(q), _as_field(q.p, z))
 
 
-def _inversion_from(q: RPF, plan, z: FieldElem, value: ExtElem) -> ExtElem:
-    """Inversion residual given the already-computed value q(z)."""
-    if z.is_zero():
-        raise PoleHit("the inversion relation is singular at 0", pole=0)
-    z_inv = 1 / z
-    return value + _evaluate(q, plan, -z_inv) * (z_inv ** (2 * q.k))
+@lru_cache(maxsize=None)
+def _relation_matrices(p):
+    """The matrices (a, b, c, d) over the field whose weight-2k slashes sum
+    to each relation, the identity first: {I, T} for the inversion,
+    {U^j : j < p} for the rotation."""
+    def entries(m):
+        return tuple(FieldElem(x) for x in (m.a, m.b, m.c, m.d))
+    u = generator(p, "U")
+    rotation = tuple(entries(u ** j) for j in range(p))
+    return (rotation[0], entries(generator(p, "T"))), rotation
+
+
+def _residual(q: RPF, atoms, matrices, z: FieldElem, value: ExtElem) -> ExtElem:
+    """The sum of (cz + d)^(-2k) q(Mz) over one relation's matrices M,
+    given value = q(z) for the identity that leads them.  A matrix with
+    cz + d = 0 sends z to infinity; PoleHit then names z = -d/c."""
+    total = value
+    for a, b, c, d in matrices[1:]:
+        den = z * c + d
+        if den.is_zero():
+            raise PoleHit("a matrix of the relation sends the point to infinity",
+                          pole=-d / c)
+        den_inv = 1 / den
+        total = total + _evaluate(atoms, (z * a + b) * den_inv) * den_inv ** (2 * q.k)
+    return total
 
 
 def inversion_residual(q: RPF, z) -> ExtElem:
     """q(z) + z^(-2k) q(-1/z), exactly."""
-    z = _as_field(q.p, z)
-    if z.is_zero():
-        raise PoleHit("the inversion relation is singular at 0", pole=0)
-    plan = _eval_plan(q)
-    return _inversion_from(q, plan, z, _evaluate(q, plan, z))
-
-
-@lru_cache(maxsize=None)
-def _rotation_matrices(p):
-    """Entries of the nontrivial rotation powers, lifted to the field once."""
-    u = generator(p, "U")
-    out = []
-    for j in range(1, p):
-        m = u ** j
-        out.append(tuple(FieldElem(x) for x in (m.a, m.b, m.c, m.d)))
-    return tuple(out)
-
-
-def _rotation_from(q: RPF, plan, z: FieldElem, value: ExtElem) -> ExtElem:
-    """Rotation residual given the already-computed identity term q(z)."""
-    total = value
-    for a, b, c, d in _rotation_matrices(q.p):
-        den = z * c + d
-        if den.is_zero():
-            raise PoleHit("a rotated copy sends the point to infinity")
-        den_inv = 1 / den
-        w = (z * a + b) * den_inv
-        total = total + _evaluate(q, plan, w) * (den_inv ** (2 * q.k))
-    return total
+    atoms, z = _atoms(q), _as_field(q.p, z)
+    return _residual(q, atoms, _relation_matrices(q.p)[0], z, _evaluate(atoms, z))
 
 
 def rotation_residual(q: RPF, z) -> ExtElem:
     """sum over j < p of (c_j z + d_j)^(-2k) q(M^j z), exactly."""
-    z = _as_field(q.p, z)
-    plan = _eval_plan(q)
-    return _rotation_from(q, plan, z, _evaluate(q, plan, z))
+    atoms, z = _atoms(q), _as_field(q.p, z)
+    return _residual(q, atoms, _relation_matrices(q.p)[1], z, _evaluate(atoms, z))
 
 
 def _order_mass(q: RPF) -> int:
@@ -783,9 +777,11 @@ def _order_mass(q: RPF) -> int:
 def _point_budget(q: RPF) -> int:
     """Sample points that separate a nonzero residual from zero.
 
-    Derivation.  q is bounded at infinity and its reduced denominator is
-    z^(2k) times (z - alpha)^(n_alpha) over its poles, with n_alpha at most
-    the sum of the orders of the terms at alpha; so q = A/B with
+    Derivation.  q is a constant plus its atoms c (z - beta)^(-n)
+    (`_atoms`), so it is bounded at infinity and its reduced denominator
+    divides the product over the atom groups of (z - beta)^(n_beta), with
+    n_beta the group's highest order: at most 2k at the pole 0, and at most
+    the sum of the pole-term orders at any other pole; so q = A/B with
     deg A <= deg B <= m, where m = `_order_mass(q)`.  For M = (a b; c d)
     with c != 0, (cz + d)^(-2k) q(Mz) is A~/(B~ (cz + d)^(2k)) with A~, B~
     the polynomials (cz + d)^m A(Mz) and (cz + d)^m B(Mz), so its reduced
@@ -808,12 +804,15 @@ def _point_budget(q: RPF) -> int:
 
 def _sampled_verify(q: RPF) -> VerifyResult:
     """Check both relations at even integer points 2, 4, 6, ... (skipping
-    any that land on a pole of a rotated copy) until `_point_budget` points
+    any that land on a pole of a slashed copy) until `_point_budget` points
     are counted; every residual must vanish exactly.  A failure reports the
     first witness point, the inversion relation before the rotation one at
-    each point.  `verify` uses this walk to find a witness, and the tests
-    use it as an independent second verifier."""
-    plan = _eval_plan(q)
+    each point.  Each residual composes q(Mz) from the atoms of q
+    (`_atoms`), q(z) once per point, and never merges partial fractions,
+    so the tests use this walk as a verifier independent of `verify`;
+    `verify` uses it to find a witness."""
+    atoms = _atoms(q)
+    relations = tuple(zip(("inversion", "rotation"), _relation_matrices(q.p)))
     needed = _point_budget(q)
     used = 0
     point = 0
@@ -821,18 +820,12 @@ def _sampled_verify(q: RPF) -> VerifyResult:
         point += 2
         z = _as_field(q.p, point)
         try:
-            value = _evaluate(q, plan, z)
-            r_inv = _inversion_from(q, plan, z, value)
+            value = _evaluate(atoms, z)
+            for relation, matrices in relations:
+                if not _residual(q, atoms, matrices, z, value).is_zero():
+                    return VerifyResult(False, (point, relation))
         except PoleHit:
             continue
-        if not r_inv.is_zero():
-            return VerifyResult(False, (point, "inversion"))
-        try:
-            r_rot = _rotation_from(q, plan, z, value)
-        except PoleHit:
-            continue
-        if not r_rot.is_zero():
-            return VerifyResult(False, (point, "rotation"))
         used += 1
     return VerifyResult(True, None)
 
@@ -840,31 +833,6 @@ def _sampled_verify(q: RPF) -> VerifyResult:
 # ---------------------------------------------------------------------------
 # the two relations in partial fractions
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _relation_matrices(p):
-    """The matrices (a, b, c, d) over the field whose weight-2k slashes sum
-    to each relation: {I, T} for the inversion, {U^j : j < p} for the
-    rotation."""
-    one, zero = FieldElem.from_int(p, 1), FieldElem.from_int(p, 0)
-    identity = (one, zero, zero, one)
-    return (identity, (zero, -one, one, zero)), (identity,) + _rotation_matrices(p)
-
-
-def _atoms(q: RPF, plan):
-    """q as atoms c (z - beta)^(-n), grouped by beta: a list of
-    (beta, ((n, c), ...)) and the constant term.  The zero part
-    a0 (1 - z^(-2k)) + b1/z gives the constant a0, -a0 at order 2k and b1
-    at order 1 at beta = 0, and tail entry t_n gives t_n at order n."""
-    groups = [(beta, pairs) for _, beta, _, pairs in plan]
-    a0, b1 = q.zero_part
-    at_zero = [(2 * q.k, -a0), (1, b1)]
-    at_zero += [(n, c) for n, c in enumerate(q.tail, start=1)]
-    at_zero = [(n, c) for n, c in at_zero if not c.is_zero()]
-    if at_zero:
-        groups.append((_ext_of(q.p, 0), at_zero))
-    return groups, a0
 
 
 def _add_atom(merged, key, c):
@@ -890,7 +858,7 @@ def _slash_into(merged, k, groups, const, m):
     a, b, c, d = m
     two_k = 2 * k
     if c.is_zero():
-        for beta, pairs in groups:
+        for _, beta, _, pairs in groups:
             image = (beta * d - b) / a
             for n, c0 in pairs:
                 _add_atom(merged, (image.u, image.v, n), c0 * (d ** (n - two_k) / a ** n))
@@ -904,7 +872,7 @@ def _slash_into(merged, k, groups, const, m):
         c_inv.append(c_inv[-1] / c)
     if not const.is_zero():
         _add_atom(merged, (rho, zero, two_k), const * c_inv[two_k])
-    for beta, pairs in groups:
+    for _, beta, _, pairs in groups:
         e = a - beta * c
         if e.is_zero():
             s = (b - beta * d).inverse()
@@ -938,7 +906,7 @@ def _slash_into(merged, k, groups, const, m):
 def _merged_relations(q: RPF):
     """Yield the merged partial-fraction coefficients of the inversion and
     then of the rotation relation, each a dict from `_slash_into` keys."""
-    groups, const = _atoms(q, _eval_plan(q))
+    groups, const = _atoms(q)
     for matrices in _relation_matrices(q.p):
         merged = {}
         for m in matrices:

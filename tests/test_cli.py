@@ -253,6 +253,28 @@ def test_verify_rejects_zero_denominator():
     assert "Traceback" not in err and "zero denominator" in err
 
 
+def test_verify_sums_terms_sharing_a_pole_and_order():
+    # the first term again with its coefficient doubled: the two terms share
+    # a pole and an order, the file holds 3c there, and the function is
+    # refused as invalid, not with a traceback
+    code, out, _ = run_cli(
+        ["rpf", "--p", "5", "--word", "2", "--weight", "2", "--output", "json"]
+    )
+    assert code == 0
+    envelope = json.loads(out)
+    terms = envelope["rpf"]["pole_terms"]
+    extra = json.loads(json.dumps(terms[0]))
+    for part in ("u", "v"):
+        extra["coeff"][part]["num"] = [2 * c for c in extra["coeff"][part]["num"]]
+    terms.append(extra)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "repeated.json")
+        with open(path, "w") as fh:
+            json.dump(envelope, fh)
+        code, stdout, err = run_cli(["verify", "--file", path])
+    assert code == 1 and err == ""
+    assert stdout == "invalid: nonzero inversion residual at z = 2\n"
+
 
 def test_verify_rejects_malformed_envelopes():
     # one field of a real envelope (p = 5, degree 2) changed per case; each

@@ -1,9 +1,11 @@
 """Tests for building and verifying pole-system rational functions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 import sympy
 
 from heckerpf.cf import Surd
@@ -25,7 +27,6 @@ from heckerpf.rpf import (
     RPF,
     SolutionFamily,
     _atoms,
-    _eval_plan,
     _merged_relations,
     _relation_matrices,
     _ring_degree,
@@ -529,13 +530,93 @@ def test_verifiers_agree_on_builders_and_corruptions():
     assert outcomes == {True, False}
 
 
+def test_terms_sharing_a_pole_and_order_add_up():
+    # a valid function with one coefficient c split into c/3 and 2c/3: the
+    # two terms share a pole and an order, so both verifiers see c again
+    q = build_union(1, isp_of_word(GenWord(5, [2])))
+    t, *rest = q.pole_terms
+    third = t.coeff * Fraction(1, 3)
+    split = RPF(q.p, q.k, [PoleTerm(t.alpha, t.order, third),
+                           PoleTerm(t.alpha, t.order, t.coeff - third), *rest])
+    assert evaluate(split, 3) == evaluate(q, 3)
+    assert _verdicts_agree(split)
+    assert verify(split).checked == verify(q).checked
+
+
+def test_residuals_against_a_direct_sum():
+    # weight 2 with every kind of atom: an irrational pole pair with
+    # coefficients in Q(lambda)(sqrt(14)), the square-D pole 1, and a0, b1
+    # and t1, where b1 and t1 share the order 1 at the pole 0
+    alpha = isp_of_word(GenWord(4, [1, 2])).positives[0]
+    square = isp_of_word(GenWord(4, [2])).positives[0]
+    terms = (
+        PoleTerm(alpha, 1, ExtElem(1, 2, alpha.D)),
+        PoleTerm(alpha.conjugate(), 1, ExtElem(Fraction(3, 5), -1, alpha.D)),
+        PoleTerm(square, 1, 5),
+    )
+    q = RPF(4, 1, terms, (2, -3), (Fraction(1, 2),))
+
+    def direct(x):
+        poles = sum(mp_ext(t.coeff) / (x - mp_surd(t.alpha)) for t in terms)
+        return poles + 2 * (1 - x**-2) - 3 / x + 1 / (2 * x)
+
+    lam = 2 * mp.cos(mp.pi / 4)
+    rotations = [mp.eye(2)]
+    for _ in range(3):
+        rotations.append(rotations[-1] * mp.matrix([[lam, -1], [1, 0]]))
+    for z in (Fraction(3, 2), Fraction(-7, 3), Fraction(5)):
+        x = mp.mpf(z.numerator) / z.denominator
+        expected = (
+            (evaluate, direct(x)),
+            (inversion_residual, direct(x) + x**-2 * direct(-1 / x)),
+            (rotation_residual, sum(
+                (m[1, 0] * x + m[1, 1]) ** -2
+                * direct((m[0, 0] * x + m[0, 1]) / (m[1, 0] * x + m[1, 1]))
+                for m in rotations)),
+        )
+        for f, want in expected:
+            got = f(q, z)
+            assert abs(want) > 1e-3 and abs(mp_ext(got) - want) < mp.mpf("1e-35"), (f, z)
+
+    # 0 is a pole of a slashed copy in both relations, with no zero part too
+    bare = RPF(4, 1, terms)
+    with pytest.raises(PoleHit) as hit:
+        inversion_residual(bare, 0)
+    assert hit.value.pole == 0
+    for f in (bare, q):
+        with pytest.raises(PoleHit):
+            rotation_residual(f, 0)
+
+
+def test_ansatz_outputs_are_pinned():
+    # sha256 over the to_json bytes of every build_ansatz output, basepoint
+    # then directions, with a marker for NoSolution: 94 inputs, p = 3..7
+    # with n <= 2 at k = 1 and 2, the three self-conjugate systems of the
+    # weight-4 benchmark, and the inconsistent p = 4 word 2 at k = 4
+    inputs = [(k, system) for p in range(3, 8) for n in (1, 2)
+              for system in enumerate_isps(p, n) for k in (1, 2)]
+    inputs += [(2, isp_of_word(GenWord(p, w))) for p, w in ((3, [1, 2]), (4, [2]), (6, [3]))]
+    inputs.append((4, isp_of_word(GenWord(4, [2]))))
+    assert len(inputs) == 94
+    digest = hashlib.sha256()
+    for k, system in inputs:
+        got = build_ansatz(k, system, "symmetric" if system.symmetric else "nonsymmetric")
+        if isinstance(got, NoSolution):
+            digest.update(b"NoSolution\n")
+            continue
+        for f in [got] if isinstance(got, RPF) else [got.basepoint, *got.directions]:
+            digest.update(to_json(f).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "7f9a0fc27717f67f53213757346edce1feed20e3f2b08a2e4adce0c338ff0bae")
+
+
 def test_slash_branches_merge_exactly():
     zero4 = FieldElem.from_int(4, 0)
     lam4 = FieldElem(lambda_elem(4))
     identity, inversion = _relation_matrices(4)[0]
 
     def slashed(q, m):
-        groups, const = _atoms(q, _eval_plan(q))
+        groups, const = _atoms(q)
         merged = {}
         _slash_into(merged, q.k, groups, const, m)
         return merged
