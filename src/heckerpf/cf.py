@@ -18,10 +18,10 @@ from __future__ import annotations
 from .field import (
     DomainError,
     FieldElem,
+    RealInterval,
     RingElem,
-    _iv_add,
-    _iv_div,
-    _iv_sqrt,
+    _ball_div,
+    _ball_sqrt,
     _refine,
     decimal_of,
     lambda_elem,
@@ -102,11 +102,13 @@ class CF:
 
 
 def _triple_interval(P, Q, D, bits):
-    """Enclosure of (P + sqrt(D))/Q at `bits`, or None while Q's holds 0."""
+    """Enclosure of (P + sqrt(D))/Q at `bits`, or None while Q's holds 0.
+    The ring elements' enclosures share the scale 2^-(bits + guard)."""
     qiv = Q.interval(bits)
     if qiv.contains_zero():
         return None
-    return _iv_div(_iv_add(P.interval(bits), _iv_sqrt(D.interval(bits), bits)), qiv)
+    piv, root = P.interval(bits), _ball_sqrt(D.interval(bits))
+    return _ball_div(RealInterval(piv.L + root.L, piv.H + root.H, piv.s), qiv)
 
 
 class Surd:
@@ -216,7 +218,7 @@ class Surd:
             a, b = self.interval(bits), other.interval(bits)
             if a is None or b is None:
                 return None
-            return 1 if a.lo > b.hi else -1 if a.hi < b.lo else None
+            return 1 if a.L > b.H else -1 if a.H < b.L else None
 
         return _refine(decide)
 
@@ -299,8 +301,8 @@ def _floor_triple(p, P, Q, D) -> int:
         alpha = _triple_interval(P, Q, D, bits)
         if alpha is None:
             return None
-        q = _iv_div(alpha, lambda_interval(p, bits))
-        flo, fhi = q.lo.__floor__(), q.hi.__floor__()
+        q = _ball_div(alpha, lambda_interval(p, bits).at(alpha.s))
+        flo, fhi = q.L >> q.s, q.H >> q.s
         if flo == fhi:
             return flo
         if fhi == flo + 1:

@@ -355,7 +355,8 @@ class RingElem:
         return _content(self.coeffs)
 
     def interval(self, bits):
-        return _eval_iv(self.coeffs, lambda_interval(self.p, bits))
+        """Enclosure at scale 2^-(bits + guard), on lambda's rounded bracket."""
+        return _horner_ball(self.coeffs, lambda_interval(self.p, bits).at(bits + _BALL_GUARD))
 
     def __repr__(self):
         return f"RingElem(p={self.p}, {poly_str(self.coeffs, 'λ')})"
@@ -558,7 +559,7 @@ class FieldElem:
 
     def interval(self, bits):
         iv = self.num.interval(bits)
-        return _iv_scale(iv, Fraction(1, self.den))
+        return RealInterval(iv.L // self.den, -(-iv.H // self.den), iv.s)
 
     def __repr__(self):
         if self.den == 1:
@@ -756,87 +757,91 @@ def fold_ext(x: ExtElem, w: FieldElem) -> ExtElem:
 
 
 class RealInterval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [L/2^s, H/2^s], integer ends at one scale 2^-s: the
+    enclosure of every certified decision. Operations round outward (floor
+    on L, ceiling on H); `lo`, `hi` and `width()` read the exact ends."""
 
-    __slots__ = ("lo", "hi", "precision_bits")
+    __slots__ = ("L", "H", "s")
 
-    def __init__(self, lo, hi, precision_bits=0):
-        self.lo = lo
-        self.hi = hi
-        self.precision_bits = precision_bits
+    def __init__(self, L, H, s):
+        self.L = L
+        self.H = H
+        self.s = s
+
+    @property
+    def lo(self):
+        return Fraction(self.L, 1 << self.s)
+
+    @property
+    def hi(self):
+        return Fraction(self.H, 1 << self.s)
 
     def contains_zero(self):
-        return self.lo <= 0 <= self.hi
+        return self.L <= 0 <= self.H
 
     def width(self):
-        return self.hi - self.lo
+        return Fraction(self.H - self.L, 1 << self.s)
+
+    def at(self, b):
+        """The enclosure rounded outward to the scale 2^-b."""
+        k = self.s - b
+        if k <= 0:
+            return RealInterval(self.L << -k, self.H << -k, b)
+        return RealInterval(self.L >> k, -(-self.H >> k), b)
 
     def __repr__(self):
-        return f"RealInterval({float(self.lo)}, {float(self.hi)}, bits={self.precision_bits})"
+        return f"RealInterval({float(self.lo)}, {float(self.hi)}, s={self.s})"
 
 
-def _iv_add(a, b):
-    return RealInterval(a.lo + b.lo, a.hi + b.hi, min(a.precision_bits, b.precision_bits))
-
-
-def _iv_mul(a, b):
-    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return RealInterval(min(cands), max(cands), min(a.precision_bits, b.precision_bits))
-
-
-def _iv_scale(a, s: Fraction):
-    if s >= 0:
-        return RealInterval(a.lo * s, a.hi * s, a.precision_bits)
-    return RealInterval(a.hi * s, a.lo * s, a.precision_bits)
-
-
-def _iv_shift(a, s: Fraction):
-    return RealInterval(a.lo + s, a.hi + s, a.precision_bits)
-
-
-def _sqrt_down(f: Fraction, bits):
-    if f <= 0:
-        return Fraction(0)
-    n = (f.numerator << (2 * bits)) // f.denominator
-    return Fraction(isqrt(n), 1 << bits)
-
-
-def _sqrt_up(f: Fraction, bits):
-    if f <= 0:
-        return Fraction(0)
-    n = -((-f.numerator << (2 * bits)) // f.denominator)  # ceil(f * 4^bits)
-    s = isqrt(n)
-    if s * s < n:
-        s += 1
-    return Fraction(s, 1 << bits)
-
-
-def _iv_sqrt(a, bits):
-    if a.hi < 0:
-        raise DomainError("square root of a certified-negative interval")
-    return RealInterval(_sqrt_down(a.lo, bits), _sqrt_up(a.hi, bits), bits)
-
-
-def _iv_recip(a):
-    # caller guarantees 0 is outside [lo, hi]
-    return RealInterval(1 / a.hi, 1 / a.lo, a.precision_bits)
-
-
-def _iv_div(a, b):
-    return _iv_mul(a, _iv_recip(b))
-
-
-def _eval_iv(coeffs, x: RealInterval) -> RealInterval:
-    acc = RealInterval(Fraction(coeffs[-1]), Fraction(coeffs[-1]), x.precision_bits)
+def _horner_ball(coeffs, x: RealInterval) -> RealInterval:
+    """Enclosure at x's scale of the integer polynomial `coeffs` (constant
+    first) over all of x, by Horner's rule on the integer ends. The product
+    of [lo, hi] and [L, H] is read at scale 2^-2s and floored / ceiled back
+    to 2^-s, so each step adds less than 2 * 2^-s to the width."""
+    L, H, s = x.L, x.H, x.s
+    lo = hi = coeffs[-1] << s
     for c in reversed(coeffs[:-1]):
-        acc = _iv_shift(_iv_mul(acc, x), Fraction(c))
-    return acc
+        if L >= 0:  # x >= 0: lo*L or lo*H is the least product, hi*H or hi*L the largest
+            a, z = lo * (L if lo >= 0 else H), hi * (H if hi >= 0 else L)
+        else:
+            prods = (lo * L, lo * H, hi * L, hi * H)
+            a, z = min(prods), max(prods)
+        lo, hi = (a >> s) + (c << s), (c << s) - (-z >> s)
+    return RealInterval(lo, hi, s)
+
+
+def _ball_div(x: RealInterval, y: RealInterval) -> RealInterval:
+    """x / y for enclosures at one scale, y not holding 0, rounded outward."""
+    XL, XH, YL, YH = x.L, x.H, y.L, y.H
+    if YL < 0:
+        XL, XH, YL, YH = -XH, -XL, -YH, -YL  # x/y = (-x)/(-y) with -y > 0
+    s = x.s
+    # with y > 0 the least quotient is XL/YH or XL/YL, the largest XH/YL or XH/YH
+    return RealInterval(
+        (XL << s) // (YH if XL >= 0 else YL),
+        -((-XH << s) // (YL if XH >= 0 else YH)),
+        s,
+    )
+
+
+def _ball_sqrt(x: RealInterval) -> RealInterval:
+    """sqrt(x) at x's scale: sqrt(n / 2^s) = sqrt(n * 2^s) / 2^s, floored at
+    L and ceiled at H (ceil sqrt(n) = isqrt(n - 1) + 1 for n >= 1)."""
+    if x.H < 0:
+        raise DomainError("square root of a certified-negative interval")
+    s = x.s
+    n = x.H << s
+    return RealInterval(isqrt(max(x.L, 0) << s), isqrt(n - 1) + 1 if n else 0, s)
 
 
 # -- enclosures of 2cos(k*pi/p) for all conjugates ---------------------------
 
 _roots_lock = threading.Lock()
 _roots_cache: dict = {}
+
+# bits an enclosure carries beyond its decision's precision: lambda's bracket
+# is rounded outward to 2^-(bits + guard), far below its 2^-bits width
+_BALL_GUARD = 32
 
 # bits a Newton step gives up from the doubled precision, for the curvature
 # term |f''/2f'| (up to 2^(guard+1)) and rounding; too small a margin only
@@ -859,8 +864,7 @@ def _init_roots(p):
     mp = minimal_polynomial(p)
     d = mp.degree
     if d == 1:
-        root = Fraction(-mp.coeffs[0])
-        return {"brackets": None, "bits": None, "fracs": [(root, root)]}
+        return {"brackets": [(-mp.coeffs[0], -mp.coeffs[0], 0)], "bits": None}
     ks = [k for k in range(1, p) if gcd(k, 2 * p) == 1]
     hints = sorted((2.0 * cos(pi * k / p) for k in ks), reverse=True)
     assert len(hints) == d
@@ -882,7 +886,7 @@ def _init_roots(p):
         ):
             raise PrecisionError(f"root bracket validation failed for p={p}")
         brackets.append((lo, hi, s))
-    return {"brackets": brackets, "bits": 0, "fracs": None}
+    return {"brackets": brackets, "bits": 0}
 
 
 def _refine_bracket(f, df, up, L, H, s, bits):
@@ -923,7 +927,7 @@ def _refine_bracket(f, df, up, L, H, s, bits):
 
 
 def _refined_roots(p, bits):
-    """Enclosures (lo, hi) of every conjugate root, largest first, at the
+    """Brackets (L, H, s) of every conjugate root, largest first, at the
     largest `bits` asked for so far for p.
 
     Each conjugate root of the minimal polynomial f (degree d >= 2) sits in
@@ -962,23 +966,17 @@ def _refined_roots(p, bits):
                 for i, (L, H, s) in enumerate(state["brackets"])
             ]
             state["bits"] = bits
-            state["fracs"] = None
-        if state["fracs"] is None:
-            state["fracs"] = [
-                (Fraction(L, 1 << s), Fraction(H, 1 << s)) for L, H, s in state["brackets"]
-            ]
-        return state["fracs"]
+        return state["brackets"]
 
 
 def lambda_interval(p, bits) -> RealInterval:
-    """Certified enclosure of 2cos(pi/p), width at most 2^-bits."""
-    lo, hi = _refined_roots(p, bits)[0]
-    return RealInterval(lo, hi, bits)
+    """Certified enclosure of 2cos(pi/p): p's finest bracket, width <= 2^-bits."""
+    return RealInterval(*_refined_roots(p, bits)[0])
 
 
 def conjugate_intervals(p, bits):
     """Certified enclosures of all real conjugates of 2cos(pi/p), largest first."""
-    return [RealInterval(lo, hi, bits) for lo, hi in _refined_roots(p, bits)]
+    return [RealInterval(*b) for b in _refined_roots(p, bits)]
 
 
 def _refine(decide):
@@ -992,24 +990,21 @@ def _refine(decide):
       (`decimal_of`) or whose boundary case m*lambda it decides exactly
       (`cf._floor_triple`). What is left lies at a positive distance from 0
       or from the nearest boundary.
-    * The width of every enclosure `decide(bits)` builds goes to 0 as bits
-      grows (lambda's brackets are at most 2^-bits wide), so some finite
-      precision makes it narrower than that distance."""
+    * Every enclosure `decide(bits)` builds is a `RealInterval` at scale
+      2^-b, b = bits + _BALL_GUARD, on lambda's bracket (at most 2^-bits
+      wide) rounded outward to 2^-b. Each step rounds outward, so the value
+      stays inside, and adds under 2 * 2^-b to a width it scales by a factor
+      fixed by its operands: a Horner step maps the widths (u, w) of acc and
+      x to |acc|*w + |x|*u + u*w, a quotient by y scales by (1 + |x|)/y^2
+      once y excludes 0, and sqrt([L, H]) is at most sqrt(H - L) wide. So
+      every width is at most C * 2^-(bits/2), C fixed by the operands, and
+      some finite precision makes it narrower than that distance."""
     bits = 128
     while True:
         out = decide(bits)
         if out is not None:
             return out
         bits *= 2
-
-
-@lru_cache(maxsize=65536)
-def _ring_sign_refined(p, coeffs):
-    def decide(bits):
-        iv = _eval_iv(coeffs, lambda_interval(p, bits))
-        return 1 if iv.lo > 0 else -1 if iv.hi < 0 else None
-
-    return _refine(decide)
 
 
 def sign(x) -> int:
@@ -1026,7 +1021,12 @@ def sign(x) -> int:
         if minimal_polynomial(x.p).degree == 1:
             c = x.coeffs[0]
             return 1 if c > 0 else -1
-        return _ring_sign_refined(x.p, x.coeffs)
+
+        def decide(bits):
+            iv = x.interval(bits)
+            return 1 if iv.L > 0 else -1 if iv.H < 0 else None
+
+        return _refine(decide)
     if isinstance(x, FieldElem):
         return sign(x.num)
     if isinstance(x, ExtElem):
@@ -1116,11 +1116,11 @@ def _ring_sqrt(p, coeffs):
     if sign(D) < 0:
         return None
     for bits in (320, 1280):
-        roots = conjugate_intervals(p, bits)
-        vals = [_eval_iv(D.coeffs, r) for r in roots]
-        if any(v.hi < 0 for v in vals):
+        roots = [r.at(bits + _BALL_GUARD) for r in conjugate_intervals(p, bits)]
+        vals = [_horner_ball(D.coeffs, r) for r in roots]
+        if any(v.H < 0 for v in vals):
             return None  # some real embedding of D is certified negative
-        sqrts = [_iv_sqrt(v, bits) for v in vals]
+        sqrts = [_ball_sqrt(v) for v in vals]
         root_mids = [(r.lo + r.hi) / 2 for r in roots]
         sqrt_mids = [(s.lo + s.hi) / 2 for s in sqrts]
         for pat in _iproduct((1, -1), repeat=d - 1):
@@ -1184,8 +1184,8 @@ def decimal_of(make_interval, digits: int, exact=None) -> str:
         iv = make_interval(bits)
         if iv is None:
             return None
-        nlo = (iv.lo * scale).__floor__()
-        return nlo if nlo == (iv.hi * scale).__floor__() else None
+        nlo = iv.L * scale >> iv.s
+        return nlo if nlo == iv.H * scale >> iv.s else None
 
     return _decimal_body(_refine(decide), scale, digits)
 

@@ -56,21 +56,34 @@ class ISP:
 
     positives is ordered block-major (block 1's translates first, each run
     ordered by translation distance), so serialized output is deterministic.
+    All positives share the one D object of the system. The system holds
+    only its word, D and positives; the rest is derived from them.
     """
 
-    __slots__ = ("word", "D", "beta1", "positives", "symmetric", "conjugate_word")
+    __slots__ = ("word", "D", "positives")
 
-    def __init__(self, word, D, beta1, positives, symmetric, conjugate_word):
+    def __init__(self, word, D, positives):
         self.word = word
         self.D = D
-        self.beta1 = beta1
         self.positives = tuple(positives)
-        self.symmetric = symmetric
-        self.conjugate_word = conjugate_word
 
     @property
     def p(self):
         return self.word.p
+
+    @property
+    def beta1(self):
+        """The reduced point of block 1, whose first translate is positives[0]."""
+        a = self.positives[0]
+        return Surd(a.P + lambda_elem(self.p) * a.Q, a.Q, a.D)
+
+    @property
+    def symmetric(self):
+        return is_hecke_symmetric(self.word)
+
+    @property
+    def conjugate_word(self):
+        return conjugate_isp(self.word)
 
     def __eq__(self, other):
         if not isinstance(other, ISP):
@@ -79,8 +92,6 @@ class ISP:
             self.word == other.word
             and self.D == other.D
             and self.positives == other.positives
-            and self.symmetric == other.symmetric
-            and self.conjugate_word == other.conjugate_word
         )
 
     def __repr__(self):
@@ -121,7 +132,7 @@ def _nonnegative(P, D) -> bool:
     sqrt(D) >= -P > 0 iff D >= P^2, both sides of the square being
     nonnegative. So P + sqrt(D) >= 0 iff D - P^2 >= 0 or P >= 0. This is
     `field._ext_sign`'s rule for v = 1, kept on ring elements in the
-    orientation D - P^2, whose signs `_is_simple` shares in the cache."""
+    orientation D - P^2 that `_is_simple` also tests."""
     return sign(D - P * P) >= 0 or sign(P) >= 0
 
 
@@ -198,19 +209,22 @@ def _positives_of_rotation(p, letters):
     translates beta_t - i*lambda, i = 1 .. count_t, of each block point.
 
     Every check is an exact ring sign: Q > 0 and the floor of beta_t/lambda
-    through _floor_is, and each translate's simplicity through _is_simple."""
+    through _floor_is, and each translate's simplicity through _is_simple.
+    Conjugation keeps the trace t, so every block point has the same
+    D = t^2 - 4, and all translates are built on block 1's D object."""
     lam = lambda_elem(p)
     points = _block_points(p, letters)
+    D = points[0][0].D
     positives = []
     for beta, count in points:
-        P, Q, D = beta.P, beta.Q, beta.D
-        assert sign(Q) > 0 and _floor_is(P, Q, D, lam, count)
+        P, Q = beta.P, beta.Q
+        assert beta.D == D and sign(Q) > 0 and _floor_is(P, Q, D, lam, count)
         lq = lam * Q
         for _ in range(count):
             P = P - lq
             assert _is_simple(P, Q, D), "translate is not simple"
             positives.append(Surd(P, Q, D))
-    return points[0][0], positives
+    return positives
 
 
 def isp_of_word(w: GenWord) -> ISP:
@@ -229,20 +243,12 @@ def isp_of_word(w: GenWord) -> ISP:
     if k > 1:
         raise NonPrimitive(GenWord(p, core), k)
     assert letters[-1] != 1, "canonical rotation should close its final block"
-    beta1, positives = _positives_of_rotation(p, letters)
+    positives = _positives_of_rotation(p, letters)
     assert len(positives) == len(letters)
-    m = word_to_matrix(w)
-    t = m.trace()
-    D = beta1.D
+    t = word_to_matrix(w).trace()
+    D = positives[0].D
     assert D == t * t - 4, "pole discriminant must match the word matrix"
-    return ISP(
-        word=w,
-        D=D,
-        beta1=beta1,
-        positives=positives,
-        symmetric=is_hecke_symmetric(w),
-        conjugate_word=conjugate_isp(w),
-    )
+    return ISP(word=w, D=D, positives=positives)
 
 
 def _mobius(n: int) -> int:

@@ -293,17 +293,21 @@ class RPF:
             raise DomainError("the half-weight must be a positive integer")
         self.p = p
         self.k = k
-        terms = tuple(pole_terms)
-        for t in terms:
+        merged = {}  # terms sharing a pole and an order become one term
+        for t in pole_terms:
             if not isinstance(t, PoleTerm):
                 raise DomainError("pole_terms must contain PoleTerm objects")
             if t.p != p:
                 raise DomainError("a pole term has the wrong lambda index")
             if t.order > k:
                 raise DomainError("a pole order exceeds the half-weight")
-        self.pole_terms = tuple(
-            sorted(terms, key=lambda t: (t.alpha.key(), t.order))
-        )
+            key = (t.alpha.key(), t.order)
+            prev = merged.get(key)
+            if prev is not None:
+                coeff = prev.coeff + t.coeff
+                t = None if coeff.is_zero() else PoleTerm(prev.alpha, t.order, coeff)
+            merged[key] = t
+        self.pole_terms = tuple(merged[key] for key in sorted(merged) if merged[key] is not None)
         if zero_part is None:
             a0 = b1 = _ext_of(p, 0)
         else:

@@ -365,6 +365,11 @@ def test_stdout_digests_are_pinned():
             ["isps", "--p", "9", "--n", "2", "--output", "json", "--decimal-digits", "30"],
             "b5286d43aba8319c8444de1ecec1aad1a01eb1ad287631b03705e7407f6fe400",
         ),
+        # degree 6: certified signs and decimals on six-term ring elements
+        (
+            ["isps", "--p", "13", "--n", "2", "--output", "json"],
+            "fbbe149135e725def552b0fe68aa23dd7cb57cace57d77db08995f87330e8155",
+        ),
         (
             ["cf", "--p", "9", "--word", "2,5,7", "--output", "json"],
             "207595d27f79f7ddc2d2d652ad142ec6f39856431b38e97b6930df8c7c03a0bb",

@@ -9,6 +9,7 @@ import mpmath as mp
 import sympy
 
 from heckerpf import field
+from heckerpf.cf import Surd, floor_over_lambda
 from heckerpf.field import (
     DomainError,
     ExtElem,
@@ -324,6 +325,75 @@ def test_root_brackets_certified_in_any_order(own_root_brackets):
                 field._roots_cache.pop(p, None)
             fails += _bracket_fails(p, order)
     assert not fails
+
+
+def test_decisions_after_deep_refinement_match_mpmath(own_root_brackets):
+    # lambda's brackets refined to 4096 bits are rounded to each decision's
+    # own precision; the answers must not change. x = round(2^k lambda^j) -
+    # 2^k lambda^j cancels about k bits, so each decision needs k + bits.
+    rng = random.Random(4096)
+    checked = 0
+    for p in range(4, 31):
+        conjugate_intervals(p, 4096)
+        d = minimal_polynomial(p).degree
+        e = lambda_elem(p) + 3
+        for k in (40, 150, 400):
+            j, m = rng.randrange(1, d + 2) | 1, rng.randint(1, 9)  # odd j: lambda^j is irrational
+            with mp.workdps(k // 3 + 80):
+                lam, root = mp_lambda(p), mp.sqrt(mp_ring(e))
+                n = int(mp.nint(2**k * lam**j))
+                x = RingElem.from_int(p, n) - (2**k) * lambda_elem(p) ** j
+                # alpha = P/2^k + sqrt(e) sits within 2^-k of m*lambda
+                P = RingElem.from_int(p, int(mp.nint(2**k * (m * lam - root))))
+                alpha = Surd(P, RingElem.from_int(p, 2**k), e * 4**k)
+                a_val = mp_ring(P) / 2**k + root
+                x_val = mp_ring(x)
+                assert abs(x_val) > mp.mpf(2) ** -40
+                assert sign(x) == (1 if x_val > 0 else -1), (p, k, j)
+                assert (alpha < m * lambda_elem(p)) == (a_val < m * lam), (p, k, m)
+                assert (Surd.from_field(FieldElem(x)) > alpha) == (x_val > a_val)
+                assert floor_over_lambda(alpha) == int(mp.floor(a_val / lam)), (p, k, m)
+                digits = k // 4
+                want = int(mp.floor(a_val * 10**digits))
+                got = alpha.decimal(digits)
+                assert int(got.replace(".", "")) == want, (p, k, m)
+                checked += 1
+    assert checked == 27 * 3
+
+
+def test_enclosures_hold_exact_values(own_root_brackets):
+    # outward rounding on lambda's 4096-bit brackets rounded to bits + guard:
+    # a rational value on or next to an end, or a square root checked by
+    # squaring the ends, shows an inward rounding of one unit. lambda^2 - 2 = sqrt(3) at p = 12
+    # takes Horner steps that round products.
+    ps = (3, 4, 5, 7, 12)
+    for p in ps:
+        conjugate_intervals(p, 4096)
+    exact = [(x, x.as_fraction()) for p in ps for x in (
+        FieldElem.from_int(p, 3), FieldElem(RingElem.from_int(p, -1), 4),
+        FieldElem(RingElem.from_int(p, 1), 3))]
+    exact += [(Surd.make(p, 1, 4, 9), 1) for p in ps]
+    roots = [(Surd.make(p, 0, q, 2), 2) for p in ps for q in (1, -1)]
+    roots += [(lambda_elem(4), 2), (lambda_elem(12) ** 2 - 2, 3)]
+    for bits in (64, 128, 300):
+        for x, value in exact:
+            iv = x.interval(bits)
+            assert iv.lo <= value <= iv.hi, (x, bits)
+        for x, square in roots:
+            iv = x.interval(bits)
+            assert iv.lo * iv.hi > 0, (x, bits)
+            assert min(iv.lo ** 2, iv.hi ** 2) <= square <= max(iv.lo ** 2, iv.hi ** 2), (x, bits)
+    # Horner at a single dyadic point in [-1, 1], of either sign, against
+    # the exact value: a step scales the width by |x| <= 1 and its floor and
+    # ceiling add less than two units
+    rng = random.Random(65)
+    for _ in range(200):
+        coeffs = [rng.randint(-99, 99) for _ in range(rng.randint(2, 8))]
+        s = rng.choice((8, 40, 100))
+        m = rng.randint(-(1 << s), 1 << s)
+        iv = field._horner_ball(coeffs, field.RealInterval(m, m, s))
+        value = sum(c * Fraction(m, 1 << s) ** i for i, c in enumerate(coeffs))
+        assert iv.lo <= value <= iv.hi and iv.width() < Fraction(2 * len(coeffs), 1 << s)
 
 
 def test_ext_examples():

@@ -152,6 +152,16 @@ def test_enumerate_sizes_and_pole_counts():
                     assert a.conjugate() < 0 < a
 
 
+def test_system_holds_one_discriminant_object():
+    # every positive is built on the system's one D object, and beta1 is
+    # derived from the first positive: the reduced point of block 1
+    for p, n in ((4, 3), (5, 3), (7, 2), (9, 2)):
+        for s in enumerate_isps(p, n):
+            assert all(a.D is s.D for a in s.positives), s.word
+            beta, _ = _block_points(p, s.word.letters)[0]
+            assert s.beta1.to_json_dict() == beta.to_json_dict(), s.word
+
+
 def test_word_to_poles_is_injective():
     for p in (3, 4, 5, 6):
         seen = {}
@@ -262,7 +272,7 @@ def test_rotation_choice_does_not_change_poles():
                 rot = letters[s:] + letters[:s]
                 if rot[-1] == 1:
                     continue
-                _, positives = _positives_of_rotation(p, list(rot))
+                positives = _positives_of_rotation(p, list(rot))
                 fingerprint = tuple(sorted(a.key() for a in positives))
                 if reference is None:
                     reference = fingerprint

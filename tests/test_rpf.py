@@ -532,7 +532,8 @@ def test_verifiers_agree_on_builders_and_corruptions():
 
 def test_terms_sharing_a_pole_and_order_add_up():
     # a valid function with one coefficient c split into c/3 and 2c/3: the
-    # two terms share a pole and an order, so both verifiers see c again
+    # two terms share a pole and an order, so both verifiers see c again,
+    # and the constructor merges them into the one term of q
     q = build_union(1, isp_of_word(GenWord(5, [2])))
     t, *rest = q.pole_terms
     third = t.coeff * Fraction(1, 3)
@@ -541,6 +542,15 @@ def test_terms_sharing_a_pole_and_order_add_up():
     assert evaluate(split, 3) == evaluate(q, 3)
     assert _verdicts_agree(split)
     assert verify(split).checked == verify(q).checked
+    assert split == q and hash(split) == hash(q)
+    assert len(split.pole_terms) == len(q.pole_terms)
+    # q renders through its form powers; its pole terms alone give the
+    # term-by-term LaTeX that split must match
+    assert to_json(split) == to_json(q)
+    assert to_latex(split) == to_latex(RPF(q.p, q.k, q.pole_terms))
+    # a term and its negative sum to zero and leave no term behind
+    cancelled = RPF(q.p, q.k, [*q.pole_terms, PoleTerm(t.alpha, t.order, -t.coeff)])
+    assert cancelled == RPF(q.p, q.k, rest)
 
 
 def test_residuals_against_a_direct_sum():
