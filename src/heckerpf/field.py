@@ -29,15 +29,13 @@ __all__ = [
     "RingElem",
     "FieldElem",
     "ExtElem",
-    "QuadExt",
-    "fold_ext",
+    "fold_square",
     "RealInterval",
     "lambda_elem",
     "lambda_interval",
     "conjugate_intervals",
     "sign",
     "ring_sqrt",
-    "field_sqrt",
     "ring_div_exact",
     "decimal_of",
     "poly_str",
@@ -469,23 +467,26 @@ class FieldElem:
     def from_int(cls, p, n):
         return cls(RingElem.from_int(p, n))
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.p != self.p:
+    @staticmethod
+    def lift(p, x):
+        """x as an element of Q(lambda_p): the one lift of a FieldElem,
+        RingElem, int or Fraction into the field. None for any other type."""
+        if isinstance(x, FieldElem):
+            if x.p != p:
                 raise DomainError("mixed p in field arithmetic")
-            return other
-        if isinstance(other, RingElem):
-            if other.p != self.p:
+            return x
+        if isinstance(x, RingElem):
+            if x.p != p:
                 raise DomainError("mixed p in field arithmetic")
-            return FieldElem(other)
-        if isinstance(other, int):
-            return FieldElem.from_int(self.p, other)
-        if isinstance(other, Fraction):
-            return FieldElem(RingElem.from_int(self.p, other.numerator), other.denominator)
+            return FieldElem(x)
+        if isinstance(x, int):
+            return FieldElem.from_int(p, x)
+        if isinstance(x, Fraction):
+            return FieldElem(RingElem.from_int(p, x.numerator), x.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = FieldElem.lift(self.p, other)
         if o is None:
             return NotImplemented
         return FieldElem(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -493,13 +494,13 @@ class FieldElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = FieldElem.lift(self.p, other)
         if o is None:
             return NotImplemented
         return FieldElem(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = FieldElem.lift(self.p, other)
         if o is None:
             return NotImplemented
         return o - self
@@ -511,7 +512,7 @@ class FieldElem:
         return el
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = FieldElem.lift(self.p, other)
         if o is None:
             return NotImplemented
         return FieldElem(self.num * o.num, self.den * o.den)
@@ -519,14 +520,14 @@ class FieldElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = FieldElem.lift(self.p, other)
         if o is None:
             return NotImplemented
         inv = _ring_inverse(o.num) * o.den
         return self * inv
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = FieldElem.lift(self.p, other)
         if o is None:
             return NotImplemented
         return o / self
@@ -539,7 +540,7 @@ class FieldElem:
         return _power(FieldElem.from_int(self.p, 1), self, n)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = FieldElem.lift(self.p, other)
         if o is None:
             return NotImplemented
         return self.den == o.den and self.num == o.num
@@ -573,9 +574,9 @@ class ExtElem:
     Arithmetic is on the formal pair (u, v); when D happens to be a perfect
     square the representation is not faithful and inversion of a formally
     nonzero element can hit a zero divisor - that raises ZeroDivisor with a
-    fold-down witness instead of returning garbage. Pipelines that know D in
-    advance should construct elements through QuadExt, which folds square
-    discriminants up front so the situation never arises.
+    fold-down witness instead of returning garbage. `fold_square` collapses
+    an element over a square D into Q(lambda), so code that folds what it
+    builds never meets a zero divisor.
     """
 
     __slots__ = ("p", "D", "u", "v")
@@ -585,22 +586,11 @@ class ExtElem:
             raise DomainError("D must be a RingElem")
         self.p = D.p
         self.D = D
-        self.u = u if isinstance(u, FieldElem) else self._lift(u, D.p)
-        self.v = v if isinstance(v, FieldElem) else self._lift(v, D.p)
-        if self.u.p != D.p or self.v.p != D.p:
-            raise DomainError("mixed p in extension arithmetic")
-
-    @staticmethod
-    def _lift(x, p):
-        if isinstance(x, RingElem):
-            if x.p != p:
-                raise DomainError("mixed p in extension arithmetic")
-            return FieldElem(x)
-        if isinstance(x, int):
-            return FieldElem.from_int(p, x)
-        if isinstance(x, Fraction):
-            return FieldElem(RingElem.from_int(p, x.numerator), x.denominator)
-        raise DomainError(f"cannot lift {type(x).__name__} into the extension")
+        self.u = FieldElem.lift(D.p, u)
+        self.v = FieldElem.lift(D.p, v)
+        if self.u is None or self.v is None:
+            bad = u if self.u is None else v
+            raise DomainError(f"cannot lift {type(bad).__name__} into the extension")
 
     def _coerce(self, other):
         if isinstance(other, ExtElem):
@@ -613,16 +603,8 @@ class ExtElem:
             if self.v.is_zero():
                 return ExtElem(self.u, self.v, other.D), other
             raise DomainError("mixed discriminants in extension arithmetic")
-        if isinstance(other, (int, Fraction, RingElem, FieldElem)):
-            return self, ExtElem(self._lift_like(other), 0, self.D)
-        return None
-
-    def _lift_like(self, x):
-        if isinstance(x, FieldElem):
-            if x.p != self.p:
-                raise DomainError("mixed p in extension arithmetic")
-            return x
-        return self._lift(x, self.p)
+        x = FieldElem.lift(self.p, other)
+        return None if x is None else (self, ExtElem(x, 0, self.D))
 
     def __add__(self, other):
         pair = self._coerce(other)
@@ -720,35 +702,13 @@ class ExtElem:
         return f"ExtElem(p={self.p}, u={self.u!r}, v={self.v!r}, D={poly_str(self.D.coeffs, 'λ')})"
 
 
-class QuadExt:
-    """Construction context for Q(lambda_p)(sqrt(D)).
-
-    Detects square discriminants once and folds every element it builds, so
-    code running inside the context never meets a zero divisor.
-    """
-
-    __slots__ = ("p", "D", "sqrtD")
-
-    def __init__(self, D: RingElem):
-        self.p = D.p
-        self.D = D
-        w = ring_sqrt(D)
-        self.sqrtD = None if w is None else FieldElem(w)
-
-    def make(self, u, v=0) -> ExtElem:
-        x = ExtElem(u, v, self.D)
-        if self.sqrtD is not None and not x.v.is_zero():
-            return ExtElem(x.u + x.v * self.sqrtD, 0, self.D)
+def fold_square(x: ExtElem) -> ExtElem:
+    """x with sqrt(D) := ring_sqrt(D) when D is a perfect square, which
+    collapses it into Q(lambda) and keeps its D tag; else x unchanged."""
+    if x.v.is_zero():
         return x
-
-    def sqrt_disc(self) -> ExtElem:
-        """The element sqrt(D) of the context."""
-        return self.make(0, 1)
-
-
-def fold_ext(x: ExtElem, w: FieldElem) -> ExtElem:
-    """Substitute sqrt(D) := w, collapsing x into the base field."""
-    return ExtElem(x.u + x.v * w, 0, x.D)
+    w = ring_sqrt(x.D)
+    return x if w is None else ExtElem(x.u + x.v * w, 0, x.D)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,16 +1091,6 @@ def _ring_sqrt(p, coeffs):
             if cand * cand == D:
                 return cand if sign(cand) >= 0 else -cand
     return None
-
-
-def field_sqrt(x: FieldElem):
-    """Exact square root of x in Q(lambda) if x is a perfect square, else None."""
-    if x.is_zero():
-        return FieldElem.from_int(x.p, 0)
-    w = ring_sqrt(x.num * x.den)
-    if w is None:
-        return None
-    return FieldElem(w, x.den)
 
 
 def ring_div_exact(a: RingElem, b: RingElem):

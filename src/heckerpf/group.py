@@ -312,6 +312,14 @@ def word_of_matrix(m: Mat) -> GenWord:
     Found through the attracting fixed point: its continued-fraction period
     is the class invariant, and the period translates back to letters. If m
     is a proper power, NonPrimitive reports the primitive word and exponent.
+
+    The exponent is found by walking the traces t_k of the powers of the
+    primitive matrix, t_0 = 2, t_1 = t and t_(k+1) = t t_k - t_(k-1), until
+    they reach the trace of m. They rise strictly: t > 2 for a hyperbolic
+    matrix of positive trace, and t_(k+1) - t_k = (t - 2) t_k + (t_k -
+    t_(k-1)) is positive once t_k > 0 and t_k > t_(k-1), which holds at
+    k = 1. So the walk stops at the exponent, or at the first trace beyond
+    the target, which no power has.
     """
     if classify(m) != "hyperbolic":
         raise DomainError("only hyperbolic matrices have generator words")
@@ -332,11 +340,11 @@ def word_of_matrix(m: Mat) -> GenWord:
     # exponent: traces of powers follow t_{k+1} = t*t_k - t_{k-1}
     t = word_to_matrix(word).trace()
     target = m.trace()
-    t_prev, t_cur = RingElem.from_int(m.p, 2), t
-    for k in range(1, 129):
-        if t_cur == target:
-            if k == 1:
-                return word
-            raise NonPrimitive(word, k)
-        t_prev, t_cur = t_cur, t * t_cur - t_prev
-    raise AssertionError("trace of input not reached by powers of its primitive class")
+    t_prev, t_cur, k = RingElem.from_int(m.p, 2), t, 1
+    while t_cur != target:
+        if sign(target - t_cur) < 0:
+            raise AssertionError("trace of input not reached by powers of its primitive class")
+        t_prev, t_cur, k = t_cur, t * t_cur - t_prev, k + 1
+    if k == 1:
+        return word
+    raise NonPrimitive(word, k)

@@ -10,10 +10,13 @@ inversion z -> -1/z:
     rotation :  sum over j < p of (c_j z + d_j)^(-2k) q(M^j z) = 0
 
 where (a_j, b_j; c_j, d_j) are the entries of M^j.  Everything is exact:
-coefficients live in Q(lambda) adjoined with sqrt(D), and square
-discriminants are folded down to Q(lambda).  Every routine reads q in one
-form: a constant plus atoms c (z - beta)^(-n), grouped by pole, with the
-zero part and the tail as atoms at the pole 0 (`_atoms`).  `verify` slashes
+coefficients live in Q(lambda) adjoined with sqrt(D).  Square
+discriminants are folded down to Q(lambda) by `field.fold_square` as each
+pole term, zero part and tail entry is built, and `RPF.__init__` is the
+one place where terms that share a pole and an order are summed.  Every
+routine reads q in one form: a constant plus atoms c (z - beta)^(-n),
+grouped by pole, with the zero part and the tail as atoms at the pole 0
+(`_atoms`).  `verify` slashes
 the atoms of both sides of each relation into partial fractions over that
 field and proves that every merged coefficient is exactly zero, so a
 "valid" answer is a proof of the identity and not a numerical impression.
@@ -27,7 +30,6 @@ invalid function.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
@@ -36,8 +38,7 @@ from .field import (
     ExtElem,
     FieldElem,
     RingElem,
-    field_sqrt,
-    fold_ext,
+    fold_square,
     poly_latex,
     ring_sqrt,
     sign,
@@ -164,52 +165,21 @@ def _ext_of(p, x) -> ExtElem:
         return x
     if type(x) is int and -1 <= x <= 1:
         return _ext_const(p, x)
-    if isinstance(x, (int, Fraction, RingElem, FieldElem)):
-        return ExtElem(x, 0, _one_ring(p))
-    raise DomainError(f"cannot use {type(x).__name__} as an extension element")
+    return ExtElem(x, 0, _one_ring(p))
 
 
 def _zero_field(p) -> FieldElem:
     return _ext_const(p, 0).u
 
 
-def _disc_root(D: RingElem):
-    """sqrt(D) in the base field when D is a perfect square, else None."""
-    w = ring_sqrt(D)
-    return None if w is None else FieldElem(w)
-
-
-def _fold_square(x: ExtElem) -> ExtElem:
-    """Collapse sqrt(D) when D is a perfect square, else return x as is."""
-    if x.v.is_zero():
-        return x
-    root = _disc_root(x.D)
-    if root is None:
-        return x
-    return fold_ext(x, root)
-
-
 def _as_field(p, z) -> FieldElem:
     """Coerce an evaluation point into the base field."""
-    if isinstance(z, FieldElem):
-        if z.p != p:
-            raise DomainError("evaluation point has the wrong lambda index")
-        return z
-    if isinstance(z, RingElem):
-        if z.p != p:
-            raise DomainError("evaluation point has the wrong lambda index")
-        return FieldElem(z)
-    if isinstance(z, int):
-        return FieldElem.from_int(p, z)
-    if isinstance(z, Fraction):
-        return FieldElem(RingElem.from_int(p, z.numerator), z.denominator)
     if isinstance(z, ExtElem) and z.v.is_zero():
-        return _as_field(p, z.u)
-    raise DomainError("evaluation points must lie in the base field")
-
-
-def _is_square_disc(D: RingElem) -> bool:
-    return _disc_root(D) is not None
+        z = z.u
+    x = FieldElem.lift(p, z)
+    if x is None:
+        raise DomainError("evaluation points must lie in the base field")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +197,7 @@ class PoleTerm:
             raise DomainError("the pole location must be a Surd")
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise DomainError("the pole order must be a positive integer")
-        coeff = _fold_square(_ext_of(alpha.p, coeff))
+        coeff = fold_square(_ext_of(alpha.p, coeff))
         if coeff.is_zero():
             raise DomainError("a pole term needs a nonzero coefficient")
         if coeff.p != alpha.p:
@@ -308,18 +278,22 @@ class RPF:
                 t = None if coeff.is_zero() else PoleTerm(prev.alpha, t.order, coeff)
             merged[key] = t
         self.pole_terms = tuple(merged[key] for key in sorted(merged) if merged[key] is not None)
+        shared = {}  # equal coefficients (D included) share one object
+        for t in self.pole_terms:
+            # an equal object leaves the term's value as it was
+            t.coeff = shared.setdefault((t.coeff.u, t.coeff.v, t.coeff.D), t.coeff)
         if zero_part is None:
             a0 = b1 = _ext_of(p, 0)
         else:
             a0, b1 = zero_part
-            a0 = _fold_square(_ext_of(p, a0))
-            b1 = _fold_square(_ext_of(p, b1))
+            a0 = fold_square(_ext_of(p, a0))
+            b1 = fold_square(_ext_of(p, b1))
         if not b1.is_zero() and 2 * k != 2:
             raise DomainError("the z^(-1) part is only allowed at weight 2")
         self.zero_part = (a0, b1)
         if tail is None:
             tail = ()
-        tail = tuple(_fold_square(_ext_of(p, c)) for c in tail)
+        tail = tuple(fold_square(_ext_of(p, c)) for c in tail)
         if len(tail) > 2 * k - 1:
             raise DomainError("the tail may only run up to z^(-(2k-1))")
         if len(tail) < 2 * k - 1:
@@ -331,7 +305,7 @@ class RPF:
     def _check_discriminants(self):
         live = set()
         for t in self.pole_terms:
-            if not _is_square_disc(t.alpha.D):
+            if ring_sqrt(t.alpha.D) is None:
                 live.add(tuple(t.alpha.D.coeffs))
             if not t.coeff.v.is_zero():
                 live.add(tuple(t.coeff.D.coeffs))
@@ -542,16 +516,18 @@ def from_form_powers(k, terms) -> RPF:
 
     Each form power is expanded into exact pole terms through the
     principal parts at the form's two roots; each s and first root are
-    remembered so `to_latex` can print the compact form-power shape.  The
-    expansion is re-checked against a direct evaluation at a sample point.
+    remembered so `to_latex` can print the compact form-power shape.  Each
+    s is folded once on entry (`fold_square`), so a scalar written over a
+    square discriminant is a value in Q(lambda).  The expansion is
+    re-checked against a direct evaluation at a sample point.
     """
-    pairs = [( _ext_of(f.p, s), f) for s, f in terms]
+    pairs = [(fold_square(_ext_of(f.p, s)), f) for s, f in terms]
     if not pairs:
         raise DomainError("at least one form power is required")
     p = pairs[0][1].p
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError("the half-weight must be a positive integer")
-    acc = {}
+    poles = []
     roots = []
     for s, f in pairs:
         if f.p != p:
@@ -561,39 +537,18 @@ def from_form_powers(k, terms) -> RPF:
         if s.is_zero():
             continue
         # A (alpha - alpha') = sign(A) sqrt(disc)
-        root_disc = ExtElem(0, 1, f.disc())
-        scale = s * (root_disc * sign(f.A)) ** (-k)
-        _accumulate(acc, principal_part(k, alpha), scale)
-        sign_k = -1 if k % 2 else 1
-        _accumulate(acc, principal_part(k, alpha.conjugate()), scale * sign_k)
-    q = RPF(p, k, _terms_of(acc), roots=roots)
+        root_disc = fold_square(ExtElem(0, sign(f.A), f.disc()))
+        scale = s * root_disc ** (-k)
+        poles += _scaled_part(k, alpha, scale)
+        poles += _scaled_part(k, alpha.conjugate(), -scale if k % 2 else scale)
+    q = RPF(p, k, poles, roots=roots)
     _check_form_expansion(q, k, pairs)
     return q
 
 
-def _accumulate(acc, terms, scale):
-    """Fold scaled pole terms into the (alpha, order) -> coeff table."""
-    scale = _fold_square(scale) if isinstance(scale, ExtElem) else scale
-    for t in terms:
-        key = (t.alpha.key(), t.order)
-        prev = acc.get(key)
-        add = t.coeff * scale
-        if prev is None:
-            acc[key] = (t.alpha, t.order, add)
-        else:
-            acc[key] = (prev[0], prev[1], prev[2] + add)
-
-
-def _terms_of(acc):
-    out = []
-    shared = {}  # equal coefficients (D included) share one object
-    for alpha, order, coeff in acc.values():
-        folded = _fold_square(coeff)
-        if not folded.is_zero():
-            t = PoleTerm(alpha, order, folded)
-            t.coeff = shared.setdefault((t.coeff.u, t.coeff.v, t.coeff.D), t.coeff)
-            out.append(t)
-    return out
+def _scaled_part(k, alpha, scale):
+    """The pole terms of `principal_part(k, alpha)` times scale."""
+    return [PoleTerm(alpha, t.order, t.coeff * scale) for t in principal_part(k, alpha)]
 
 
 def _check_form_expansion(q, k, pairs):
@@ -607,12 +562,7 @@ def _check_form_expansion(q, k, pairs):
                 value = (f.A * zf + f.B) * zf + f.C
                 if value.is_zero():
                     raise PoleHit("sample point is a root of a form")
-                root = field_sqrt(FieldElem(f.disc()))
-                power = _ext_of(q.p, value) ** (-k)
-                if root is not None:
-                    direct = direct + _fold_square(s) * power
-                else:
-                    direct = direct + s * power
+                direct = direct + s * _ext_of(q.p, value) ** (-k)
             got = evaluate(q, zf)
         except PoleHit:
             z += 1
@@ -685,9 +635,8 @@ def _atoms(q: RPF):
     entries = []
     for alpha, pairs in groups.values():
         pairs.sort(key=lambda pair: pair[0])
-        root = _disc_root(alpha.D)
-        if root is not None:
-            value = (FieldElem(alpha.P) + root) / FieldElem(alpha.Q)
+        value = alpha.folded_value()
+        if value is not None:
             entries.append((alpha, ExtElem(value, zero, alpha.D), None, tuple(pairs)))
         else:
             q_inv = 1 / FieldElem(alpha.Q)
@@ -1035,18 +984,16 @@ def build_ansatz(k, system, template):
     if want_symmetric != system.symmetric:
         raise DomainError("the template does not match the system's symmetry")
     p = system.p
-    acc = {}
-    if want_symmetric:
-        for alpha in system.positives:
-            _accumulate(acc, principal_part(k, alpha), _ext_of(p, 1))
-            _accumulate(acc, principal_part(k, alpha.conjugate()), _ext_of(p, -1))
-    else:
-        for alpha in system.positives:
-            _accumulate(acc, principal_part(k, alpha), _ext_of(p, 1))
+    poles = []
+    for alpha in system.positives:
+        poles += principal_part(k, alpha)
+        if want_symmetric:
+            poles += _scaled_part(k, alpha.conjugate(), -1)
+    if not want_symmetric:
         partner = isp_of_word(system.conjugate_word)
         for gamma in partner.positives:
-            _accumulate(acc, principal_part(k, gamma.conjugate()), _ext_of(p, -1))
-    fixed = RPF(p, k, _terms_of(acc))
+            poles += _scaled_part(k, gamma.conjugate(), -1)
+    fixed = RPF(p, k, poles)
     m = 2 * k - 1
     basis = [RPF(p, k, (), None, [int(i == n) for i in range(m)]) for n in range(m)]
     zero = _ext_of(p, 0)
@@ -1061,7 +1008,7 @@ def build_ansatz(k, system, template):
     # to_json prints the D tag of a value in Q(lambda), so a solved entry
     # over a square D is tagged 1, as the tail it solves for is
     solution, *directions = (
-        [ExtElem(c.u, c.v, _one_ring(p)) if _is_square_disc(c.D) else c for c in entries]
+        [ExtElem(c.u, c.v, _one_ring(p)) if ring_sqrt(c.D) is not None else c for c in entries]
         for entries in (solution, *directions))
     base = RPF(p, k, fixed.pole_terms, None, solution)
     if not directions:
@@ -1192,14 +1139,13 @@ def to_latex(q: RPF) -> str:
                 if q.k > 1
                 else r"%s" % body
             )
-            s_folded = _fold_square(s)
-            if s_folded == ExtElem(1, 0, _one_ring(q.p)):
+            if s == ExtElem(1, 0, _one_ring(q.p)):
                 num = "1"
-            elif s_folded == ExtElem(-1, 0, _one_ring(q.p)):
+            elif s == ExtElem(-1, 0, _one_ring(q.p)):
                 chunks.append(r"-\frac{1}{%s}" % denom)
                 continue
             else:
-                num = _ext_latex(s_folded)
+                num = _ext_latex(s)
             chunks.append(r"\frac{%s}{%s}" % (num, denom))
     else:
         for t in q.pole_terms:

@@ -14,13 +14,11 @@ from heckerpf.field import (
     DomainError,
     ExtElem,
     FieldElem,
-    QuadExt,
     RingElem,
     ZeroDivisor,
     conjugate_intervals,
     decimal_of,
-    field_sqrt,
-    fold_ext,
+    fold_square,
     lambda_elem,
     lambda_interval,
     minimal_polynomial,
@@ -415,7 +413,7 @@ def test_ext_zero_divisor_witness():
         assert False, "zero divisor inverted"
     except ZeroDivisor as e:
         assert e.witness == 2
-        assert fold_ext(z, e.witness).is_zero()
+        assert fold_square(z).is_zero()
 
 
 def test_ext_mixed_discriminants_rejected():
@@ -447,16 +445,17 @@ def test_ext_random_identities():
             assert abs(mp_ext(x * x) - mp_ext(x) ** 2) < mp.mpf(10) ** -25
 
 
-def test_quadext_folds_squares():
-    ctx = QuadExt(RingElem.from_int(4, 4))
-    assert ctx.sqrt_disc() == 2
-    assert ctx.make(2, -1).is_zero()
+def test_fold_square_folds_squares():
+    D4 = RingElem.from_int(4, 4)
+    root = fold_square(ExtElem(0, 1, D4))
+    assert root == 2 and root.v.is_zero() and root.D is D4  # the D tag stays
+    assert fold_square(ExtElem(2, -1, D4)).is_zero()
     lam6 = lambda_elem(6)
-    ctx3 = QuadExt(RingElem.from_int(6, 3))  # 3 = lambda^2 at p=6
-    assert ctx3.sqrt_disc() == ExtElem(FieldElem(lam6), 0, RingElem.from_int(6, 3))
-    ctx2 = QuadExt(RingElem.from_int(6, 2))  # 2 is not a square here
-    assert ctx2.sqrtD is None
-    assert not ctx2.make(1, 1).v.is_zero()
+    D3 = RingElem.from_int(6, 3)  # 3 = lambda^2 at p=6
+    assert fold_square(ExtElem(0, 1, D3)) == ExtElem(FieldElem(lam6), 0, D3)
+    D2 = RingElem.from_int(6, 2)  # 2 is not a square here
+    x = ExtElem(1, 1, D2)
+    assert fold_square(x) is x and not x.v.is_zero()
 
 
 def test_ring_sqrt_examples():
@@ -500,14 +499,6 @@ def test_ring_sqrt_norm_filter(monkeypatch):
         calls.clear()
         assert field._ring_sqrt.__wrapped__(D.p, D.coeffs) is None
         assert bool(calls) == searched, D
-
-
-def test_field_sqrt():
-    lam6 = lambda_elem(6)
-    x = FieldElem(lam6, 2)  # sqrt(3)/2 = sqrt(3/4)
-    assert field_sqrt(x * x) == x
-    assert field_sqrt(FieldElem(lam6, 5)) is None
-    assert field_sqrt(FieldElem.from_int(6, 0)) == 0
 
 
 def test_decimal_rendering():

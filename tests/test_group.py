@@ -3,6 +3,8 @@
 import functools
 import random
 
+import pytest
+
 from heckerpf.field import DomainError, RingElem, lambda_elem
 from heckerpf.group import (
     GenWord,
@@ -223,6 +225,18 @@ def test_word_of_matrix_power_reports_primitive_core():
     except NonPrimitive as e:
         assert e.word == GenWord(5, [1, 2])
         assert e.exponent == 3
+
+
+def test_word_of_matrix_high_powers():
+    # the trace walk has no cap on the exponent
+    for p, letters in ((5, [2]), (4, [1, 3]), (7, [1, 2, 3])):
+        w = GenWord(p, letters)
+        m = word_to_matrix(w)
+        assert word_of_matrix(m) == w
+        for e in (2, 129, 200):
+            with pytest.raises(NonPrimitive) as info:
+                word_of_matrix(m ** e)
+            assert info.value.word == w and info.value.exponent == e, (p, letters, e)
 
 
 def test_word_of_matrix_rejects_non_hyperbolic():

@@ -14,6 +14,7 @@ from heckerpf.field import (
     ExtElem,
     FieldElem,
     RingElem,
+    fold_square,
     lambda_elem,
     minimal_polynomial,
 )
@@ -261,8 +262,6 @@ def test_reconstruction_from_principal_parts():
     for p, letters in ((3, [1, 2]), (4, [2]), (6, [3])):
         system = isp_of_word(GenWord(p, letters))
         alpha = system.positives[0]
-        from heckerpf.rpf import _fold_square, _simple_form
-
         f = _simple_form(alpha)
         for k in (1, 2, 3):
             sgn = 1 if k % 2 == 0 else -1
@@ -286,7 +285,7 @@ def test_reconstruction_from_principal_parts():
                 except PoleHit:
                     continue
                 expected = (root_d**k) * (ext_int(p, 1) * value) ** (-k)
-                assert _fold_square(got) == _fold_square(expected), (p, k, z)
+                assert fold_square(got) == fold_square(expected), (p, k, z)
                 checked += 1
 
 
@@ -618,6 +617,43 @@ def test_ansatz_outputs_are_pinned():
             digest.update(to_json(f).encode() + b"\n")
     assert digest.hexdigest() == (
         "7f9a0fc27717f67f53213757346edce1feed20e3f2b08a2e4adce0c338ff0bae")
+
+
+def test_builder_outputs_are_pinned():
+    # sha256 over to_json and to_latex of every form-power builder output:
+    # p = 3..9, n <= 2, k = 1..3, build_symmetric_odd for self-conjugate
+    # systems at odd k and build_union for the others (self-conjugate
+    # systems at even k are the ansatz digest's)
+    digest = hashlib.sha256()
+    count = 0
+    for p in range(3, 10):
+        for n in (1, 2):
+            for system in enumerate_isps(p, n):
+                for k in (1, 2, 3):
+                    if system.symmetric and k % 2 == 0:
+                        continue
+                    build = build_symmetric_odd if system.symmetric else build_union
+                    q = build(k, system)
+                    digest.update(to_json(q).encode() + b"\n" + to_latex(q).encode() + b"\n")
+                    count += 1
+    assert count == 296
+    assert digest.hexdigest() == (
+        "a5773e65ec4583b5c97fe4253afc8463f71179b06e45d58148c8672809de4308")
+
+
+def test_form_power_scalar_over_a_square_discriminant():
+    # sqrt(4) = 2 at p = 3 is a value in Q(lambda): it scales a form of
+    # discriminant 5 as the integer 2 does
+    f = _simple_form(isp_of_word(GenWord(3, (1, 2))).positives[0])
+    root_four = ExtElem(0, 1, RingElem.from_int(3, 4))
+    got = from_form_powers(1, [(root_four, f)])
+    two = from_form_powers(1, [(2, f)])
+    assert got == two
+    assert to_json(got) == to_json(two)
+    assert to_latex(got) == to_latex(two) == r"\frac{2}{z^{2} - z - 1}"
+    # a scalar that folds to zero adds nothing
+    zero = ExtElem(2, -1, RingElem.from_int(3, 4))
+    assert from_form_powers(1, [(zero, f), (2, f)]) == two
 
 
 def test_slash_branches_merge_exactly():
