@@ -4,8 +4,8 @@ The ring Z[2cos(pi/p)] is represented by dense integer coefficient vectors
 modulo the minimal polynomial of 2cos(pi/p) (computed from a cyclotomic
 polynomial through the palindromic substitution y = x + 1/x). On top of the
 ring sit field elements (ring numerator over a positive integer denominator,
-kept in lowest terms), formal elements u + v*sqrt(D) of a quadratic
-extension, and certified sign determination through interval refinement.
+kept in lowest terms), quadratic-extension elements (U + V*sqrt(D))/den in
+standard representation, and certified signs through interval refinement.
 
 Everything user-visible is exact. Floating point appears in exactly one
 place - as a hint for bracketing the real roots of the minimal polynomial -
@@ -171,19 +171,14 @@ def _reduction_rows(p):
 
 
 def _reduce_vec(p, vec):
-    d = minimal_polynomial(p).degree
-    out = list(vec)
-    if len(out) < d:
-        out += [0] * (d - len(out))
-    elif len(out) > d:
-        base = tuple(-c for c in minimal_polynomial(p).coeffs[:d])
-        for e in range(len(out) - 1, d - 1, -1):
-            c = out[e]
-            if c:
-                for i in range(d):
-                    out[e - d + i] += c * base[i]
-        out = out[:d]
-    return tuple(out)
+    f = minimal_polynomial(p).coeffs
+    d = len(f) - 1
+    out = list(vec) + [0] * d
+    for e in range(len(out) - 1, d - 1, -1):
+        if out[e]:  # x^e = x^(e-d) (x^d - f(x)) modulo f
+            for i in range(d):
+                out[e - d + i] -= out[e] * f[i]
+    return tuple(out[:d])
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +242,18 @@ def _mulmod(a, b, red):
 
 
 def _power(one, base, n):
-    """base**n for n >= 0 by square-and-multiply, starting from `one`."""
+    """base**n by square-and-multiply from `one`; 1 / base**(-n) for n < 0."""
+    if not isinstance(n, int):
+        raise DomainError("the exponent must be an integer")
+    if n < 0:
+        return 1 / _power(one, base, -n)
     result = one
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 
@@ -471,14 +471,10 @@ class FieldElem:
     def lift(p, x):
         """x as an element of Q(lambda_p): the one lift of a FieldElem,
         RingElem, int or Fraction into the field. None for any other type."""
-        if isinstance(x, FieldElem):
+        if isinstance(x, (FieldElem, RingElem)):
             if x.p != p:
                 raise DomainError("mixed p in field arithmetic")
-            return x
-        if isinstance(x, RingElem):
-            if x.p != p:
-                raise DomainError("mixed p in field arithmetic")
-            return FieldElem(x)
+            return x if isinstance(x, FieldElem) else FieldElem(x)
         if isinstance(x, int):
             return FieldElem.from_int(p, x)
         if isinstance(x, Fraction):
@@ -487,66 +483,42 @@ class FieldElem:
 
     def __add__(self, other):
         o = FieldElem.lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.num * o.den + o.num * self.den, self.den * o.den)
+        return NotImplemented if o is None else FieldElem(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = FieldElem.lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self + -other
 
     def __rsub__(self, other):
-        o = FieldElem.lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __neg__(self):
-        el = FieldElem.__new__(FieldElem)
-        el.num = -self.num
-        el.den = self.den
-        return el
+        return FieldElem(-self.num, self.den)
 
     def __mul__(self, other):
         o = FieldElem.lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.num * o.num, self.den * o.den)
+        return NotImplemented if o is None else FieldElem(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = FieldElem.lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        inv = _ring_inverse(o.num) * o.den
-        return self * inv
+        return NotImplemented if o is None else self * _ring_inverse(o.num) * o.den
 
     def __rtruediv__(self, other):
-        o = FieldElem.lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return _ring_inverse(self.num) * self.den * other
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise DomainError("field exponent must be an integer")
-        if n < 0:
-            return 1 / (self ** (-n))
         return _power(FieldElem.from_int(self.p, 1), self, n)
 
     def __eq__(self, other):
         o = FieldElem.lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return self.den == o.den and self.num == o.num
+        return NotImplemented if o is None else self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        r = self.as_fraction()  # a rational value hashes as its Fraction
+        return hash((self.num, self.den)) if r is None else hash(r)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -569,145 +541,173 @@ class FieldElem:
 
 
 class ExtElem:
-    """Formal element u + v*sqrt(D) with u, v in Q(lambda) and D in the ring.
+    """Element (U + V sqrt(D)) / den of Q(lambda)(sqrt(D)) in standard
+    representation (Cohen, GTM 138, 4.2): U, V integer vectors in the basis
+    1, lambda, ..., lambda^(d-1), den > 0, gcd(content U, content V, den) = 1;
+    `u` and `v` read the two parts back as field elements.
 
-    Arithmetic is on the formal pair (u, v); when D happens to be a perfect
-    square the representation is not faithful and inversion of a formally
-    nonzero element can hit a zero divisor - that raises ZeroDivisor with a
-    fold-down witness instead of returning garbage. `fold_square` collapses
-    an element over a square D into Q(lambda), so code that folds what it
-    builds never meets a zero divisor.
+    Why `key()` = (U, V, den) is unique per value: over a non-square D a value
+    fixes its 2d rational coordinates x, and (U, V) = den * x. The n > 0 with
+    n * x integral are the multiples of the least, n0, so den = m * n0 with m
+    dividing the gcd above: gcd 1 forces den = n0, then U and V. A value with
+    V = 0 lies in Q(lambda), whatever its D tag. Over a square D the pair is
+    formal: inverting a formally nonzero element raises ZeroDivisor with a
+    fold-down witness, and `fold_square` collapses it into Q(lambda) first.
     """
 
-    __slots__ = ("p", "D", "u", "v")
+    __slots__ = ("D", "U", "V", "den")
 
     def __init__(self, u, v, D):
         if not isinstance(D, RingElem):
             raise DomainError("D must be a RingElem")
-        self.p = D.p
-        self.D = D
-        self.u = FieldElem.lift(D.p, u)
-        self.v = FieldElem.lift(D.p, v)
-        if self.u is None or self.v is None:
-            bad = u if self.u is None else v
-            raise DomainError(f"cannot lift {type(bad).__name__} into the extension")
+        fu, fv = FieldElem.lift(D.p, u), FieldElem.lift(D.p, v)
+        if fu is None or fv is None:
+            raise DomainError(f"cannot lift {type(u if fu is None else v).__name__} into the extension")
+        _ext(D, _scaled(fu.num.coeffs, fv.den), _scaled(fv.num.coeffs, fu.den), fu.den * fv.den, self)
 
-    def _coerce(self, other):
-        if isinstance(other, ExtElem):
-            if other.p != self.p:
-                raise DomainError("mixed p in extension arithmetic")
-            if other.D == self.D:
-                return self, other
-            if other.v.is_zero():
-                return self, ExtElem(other.u, other.v, self.D)
-            if self.v.is_zero():
-                return ExtElem(self.u, self.v, other.D), other
-            raise DomainError("mixed discriminants in extension arithmetic")
-        x = FieldElem.lift(self.p, other)
-        return None if x is None else (self, ExtElem(x, 0, self.D))
+    @property
+    def p(self):
+        return self.D.p
+
+    @property
+    def u(self) -> FieldElem:
+        return FieldElem(RingElem._raw(self.D.p, self.U), self.den)
+
+    @property
+    def v(self) -> FieldElem:
+        return FieldElem(RingElem._raw(self.D.p, self.V), self.den)
+
+    def key(self):
+        return self.U, self.V, self.den
+
+    def _operand(self, other):
+        """(D, U, V, den) of other and the tag of a result, or None; only V = 0 retags."""
+        D = self.D
+        if not isinstance(other, ExtElem):
+            x = FieldElem.lift(D.p, other)
+            return x and (D, x.num.coeffs, _zeros(len(self.U)), x.den)
+        if other.D.p != D.p:
+            raise DomainError("mixed p in extension arithmetic")
+        if other.D is not D and any(other.V) and other.D != D:
+            if any(self.V):
+                raise DomainError("mixed discriminants in extension arithmetic")
+            D = other.D
+        return D, other.U, other.V, other.den
 
     def __add__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return ExtElem(a.u + b.u, a.v + b.v, a.D)
+        o = self._operand(other)
+        return NotImplemented if o is None else _ext_sum(self, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return ExtElem(a.u - b.u, a.v - b.v, a.D)
+        return self + -other
 
     def __rsub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return b - a
+        return -self + other
 
     def __neg__(self):
-        return ExtElem(-self.u, -self.v, self.D)
+        return _ext(self.D, _negv(self.U), _negv(self.V), self.den)
 
     def __mul__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
+        if type(other) is int:
+            return _ext(self.D, _scaled(self.U, other), _scaled(self.V, other), self.den)
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        a, b = pair
-        Df = FieldElem(a.D)
-        return ExtElem(a.u * b.u + a.v * b.v * Df, a.u * b.v + a.v * b.u, a.D)
+        D, U, V, den = o
+        red, a, b = _reduction_rows(D.p), self.U, self.V
+        uu, vv = _mulz(a, U, red), _mulz(a, V, red)
+        if any(b):  # the radical part of self: b U sqrt(D) + b V D
+            vv = _addv(vv, _mulmod(b, U, red)) if any(vv) else _mulmod(b, U, red)
+            if any(V):
+                uu = _addv(uu, _mulmod(_mulmod(b, V, red), D.coeffs, red))
+        return _ext(D, uu, vv, self.den * den)
 
     __rmul__ = __mul__
 
     def conj(self):
         """The formal conjugate u - v*sqrt(D)."""
-        return ExtElem(self.u, -self.v, self.D)
+        return _ext(self.D, self.U, _negv(self.V), self.den)
+
+    def _norm_num(self):  # U^2 - V^2 D: the norm times den^2
+        red = _reduction_rows(self.D.p)
+        return _subv(_mulz(self.U, self.U, red), _mulz(_mulz(self.V, self.V, red), self.D.coeffs, red))
 
     def norm(self) -> FieldElem:
-        return self.u * self.u - self.v * self.v * FieldElem(self.D)
+        return FieldElem(RingElem._raw(self.D.p, self._norm_num()), self.den * self.den)
 
     def inverse(self):
+        """den (U - V sqrt(D)) / (U^2 - V^2 D): one ring inversion (of U if V = 0)."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in the quadratic extension")
-        n = self.norm()
-        if n.is_zero():
-            # u^2 = v^2 D with (u, v) != 0: D is a square and sqrt(D) = -u/v
+        U, V, red = self.U, self.V, _reduction_rows(self.D.p)
+        n = self._norm_num() if any(V) else U
+        if not any(n):  # u^2 = v^2 D, (u, v) != 0: D is a square, sqrt(D) = -u/v
             w = -self.u / self.v
-            if sign(w) < 0:
-                w = -w
-            raise ZeroDivisor(w)
-        ninv = 1 / n
-        return ExtElem(self.u * ninv, -self.v * ninv, self.D)
+            raise ZeroDivisor(-w if sign(w) < 0 else w)
+        ninv = _ring_inverse(RingElem._raw(self.D.p, n))
+        y = _scaled(ninv.num.coeffs, self.den)
+        return _ext(self.D, y if n is U else _mulmod(U, y, red), _negv(_mulz(V, y, red)), ninv.den)
 
     def __truediv__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        o = self._operand(other)
+        return NotImplemented if o is None else self * _ext(*o).inverse()
 
     def __rtruediv__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return b * a.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise DomainError("extension exponent must be an integer")
-        if n < 0:
-            return (self ** (-n)).inverse()
         return _power(ExtElem(1, 0, self.D), self, n)
 
     def __eq__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a.u == b.u and a.v == b.v
+        o = self._operand(other)
+        return NotImplemented if o is None else o[1:] == self.key()
 
     def __hash__(self):
-        if self.v.is_zero():
-            return hash((self.p, self.u))
-        return hash((self.p, self.u, self.v, self.D))
+        # a value in Q(lambda) hashes as its FieldElem, and so as a number
+        return hash((self.key(), self.D)) if any(self.V) else hash(self.u)
 
     def is_zero(self):
-        return self.u.is_zero() and self.v.is_zero()
+        return not (any(self.U) or any(self.V))
 
     def __repr__(self):
         return f"ExtElem(p={self.p}, u={self.u!r}, v={self.v!r}, D={poly_str(self.D.coeffs, 'λ')})"
 
 
+@lru_cache(maxsize=None)
+def _zeros(d):
+    return (0,) * d  # the zero vector of degree d, shared by every zero part
+
+
+def _scaled(a, m):
+    return a if m == 1 else tuple(m * x for x in a)
+
+
+def _mulz(a, b, red):  # _mulmod, or the shared zero vector for a zero factor
+    return _mulmod(a, b, red) if any(a) and any(b) else _zeros(len(a))
+
+
+def _ext(D, U, V, den, x=None):
+    """The canonical ExtElem (U + V sqrt(D)) / den, den > 0, filled into x if given."""
+    g = gcd(den, *U, *V)
+    if g != 1:
+        U, V, den = tuple(c // g for c in U), tuple(c // g for c in V), den // g
+    x, zero = x or object.__new__(ExtElem), _zeros(len(U))
+    x.D, x.U, x.V, x.den = D, U if any(U) else zero, V if any(V) else zero, den
+    return x
+
+
+def _ext_sum(x, D, U, V, den):  # x + (U + V sqrt(D)) / den over the lcm of the dens
+    g = gcd(x.den, den)
+    m, n = den // g, x.den // g
+    return _ext(D, _addv(_scaled(x.U, m), _scaled(U, n)), _addv(_scaled(x.V, m), _scaled(V, n)), x.den * m)
+
+
 def fold_square(x: ExtElem) -> ExtElem:
     """x with sqrt(D) := ring_sqrt(D) when D is a perfect square, which
     collapses it into Q(lambda) and keeps its D tag; else x unchanged."""
-    if x.v.is_zero():
-        return x
-    w = ring_sqrt(x.D)
+    w = ring_sqrt(x.D) if any(x.V) else None
     return x if w is None else ExtElem(x.u + x.v * w, 0, x.D)
 
 
@@ -1004,7 +1004,7 @@ def _ext_sign(x: ExtElem) -> int:
         return sign(x.u)
     if sign(x.D) < 0:
         raise DomainError("sign of an element with negative discriminant")
-    m = sign(x.v * x.v * FieldElem(x.D) - x.u * x.u)
+    m = -sign(x.norm())
     if m > 0:
         return sign(x.v)
     su = sign(x.u)

@@ -145,18 +145,30 @@ class VerifyResult:
 # ---------------------------------------------------------------------------
 
 
-# Elements are never mutated in place, so one object per p can stand for
-# the square tag 1 and for the constants 0 and +-1 in every function built.
+# Values never change in place (RPF.__init__ only swaps in equal objects),
+# so one object per p stands for each small ring value (every coefficient in
+# -2..2) in every function built: the square tag 1 and, at p = 3..9, 55% of
+# the builders' pole data. So do the constants 0, +-1 and an all-zero run.
+
+
+@lru_cache(maxsize=1024)
+def _small_ring(p, coeffs) -> RingElem:
+    return RingElem._raw(p, coeffs)
 
 
 @lru_cache(maxsize=None)
 def _one_ring(p) -> RingElem:
-    return RingElem.from_int(p, 1)
+    return _small_ring(p, RingElem.from_int(p, 1).coeffs)
 
 
 @lru_cache(maxsize=None)
 def _ext_const(p, n) -> ExtElem:
     return ExtElem(n, 0, _one_ring(p))
+
+
+@lru_cache(maxsize=64)
+def _zero_run(p, n) -> tuple:
+    return (_ext_const(p, 0),) * n
 
 
 def _ext_of(p, x) -> ExtElem:
@@ -166,10 +178,6 @@ def _ext_of(p, x) -> ExtElem:
     if type(x) is int and -1 <= x <= 1:
         return _ext_const(p, x)
     return ExtElem(x, 0, _one_ring(p))
-
-
-def _zero_field(p) -> FieldElem:
-    return _ext_const(p, 0).u
 
 
 def _as_field(p, z) -> FieldElem:
@@ -202,15 +210,7 @@ class PoleTerm:
             raise DomainError("a pole term needs a nonzero coefficient")
         if coeff.p != alpha.p:
             raise DomainError("mixed lambda indices in a pole term")
-        # the same value built on the pole's D object and the shared zero,
-        # so a function that is kept holds fewer ring elements
-        zero = _zero_field(alpha.p)
-        coeff = ExtElem(zero if coeff.u.is_zero() else coeff.u,
-                        zero if coeff.v.is_zero() else coeff.v,
-                        alpha.D if coeff.D == alpha.D else coeff.D)
-        self.alpha = alpha
-        self.order = order
-        self.coeff = coeff
+        self.alpha, self.order, self.coeff = alpha, order, coeff
 
     @property
     def p(self):
@@ -254,15 +254,14 @@ class RPF:
     folded into the base field on construction.
     """
 
-    __slots__ = ("p", "k", "pole_terms", "zero_part", "tail", "_roots")
+    __slots__ = ("p", "k", "_terms", "zero_part", "tail", "_roots")
 
     def __init__(self, p, k, pole_terms=(), zero_part=None, tail=None, roots=None):
         if not isinstance(p, int) or isinstance(p, bool) or p < 3:
             raise DomainError("the group index must be an integer >= 3")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise DomainError("the half-weight must be a positive integer")
-        self.p = p
-        self.k = k
+        self.p, self.k = p, k
         merged = {}  # terms sharing a pole and an order become one term
         for t in pole_terms:
             if not isinstance(t, PoleTerm):
@@ -277,44 +276,52 @@ class RPF:
                 coeff = prev.coeff + t.coeff
                 t = None if coeff.is_zero() else PoleTerm(prev.alpha, t.order, coeff)
             merged[key] = t
-        self.pole_terms = tuple(merged[key] for key in sorted(merged) if merged[key] is not None)
-        shared = {}  # equal coefficients (D included) share one object
-        for t in self.pole_terms:
-            # an equal object leaves the term's value as it was
-            t.coeff = shared.setdefault((t.coeff.u, t.coeff.v, t.coeff.D), t.coeff)
-        if zero_part is None:
-            a0 = b1 = _ext_of(p, 0)
-        else:
-            a0, b1 = zero_part
-            a0 = fold_square(_ext_of(p, a0))
-            b1 = fold_square(_ext_of(p, b1))
+        terms = [merged[key] for key in sorted(merged) if merged[key] is not None]
+        a0, b1 = (0, 0) if zero_part is None else zero_part
+        a0, b1 = fold_square(_ext_of(p, a0)), fold_square(_ext_of(p, b1))
         if not b1.is_zero() and 2 * k != 2:
             raise DomainError("the z^(-1) part is only allowed at weight 2")
-        self.zero_part = (a0, b1)
-        if tail is None:
-            tail = ()
-        tail = tuple(fold_square(_ext_of(p, c)) for c in tail)
+        tail = tuple(fold_square(_ext_of(p, c)) for c in tail or ())
         if len(tail) > 2 * k - 1:
             raise DomainError("the tail may only run up to z^(-(2k-1))")
-        if len(tail) < 2 * k - 1:
-            tail = tail + tuple(_ext_of(p, 0) for _ in range(2 * k - 1 - len(tail)))
-        self.tail = tail
-        self._roots = None if roots is None else tuple(roots)
-        self._check_discriminants()
+        tail += (_ext_of(p, 0),) * (2 * k - 1 - len(tail))
+        # one object per equal ring value (poles' P, Q, D, coefficients' D tags),
+        # vector and coefficient, and no PoleTerm; `live` gathers non-square D's
+        rings, vecs, coeffs, live = {}, {}, {}, set()
 
-    def _check_discriminants(self):
-        live = set()
-        for t in self.pole_terms:
-            if ring_sqrt(t.alpha.D) is None:
-                live.add(tuple(t.alpha.D.coeffs))
-            if not t.coeff.v.is_zero():
-                live.add(tuple(t.coeff.D.coeffs))
-        for c in self.zero_part + self.tail:
-            if not c.v.is_zero():
-                live.add(tuple(c.D.coeffs))
+        def ring(r):
+            if r.coeffs not in rings:
+                rings[r.coeffs] = _small_ring(p, r.coeffs) if max(map(abs, r.coeffs)) <= 2 else r
+                vecs.setdefault(r.coeffs, rings[r.coeffs].coeffs)
+            return rings[r.coeffs]
+
+        def share(c):
+            if c.p != p:
+                raise DomainError("a coefficient has the wrong lambda index")
+            if any(c.V):
+                live.add(c.D.coeffs)
+            c.D, c.U, c.V = ring(c.D), vecs.setdefault(c.U, c.U), vecs.setdefault(c.V, c.V)
+            return coeffs.setdefault((c.D.coeffs, *c.key()), c)
+
+        zero, _, _ = (share(_ext_const(p, n)) for n in (0, 1, -1))
+        for t in terms:
+            a = t.alpha
+            a.P, a.Q, a.D = ring(a.P), ring(a.Q), ring(a.D)
+            if ring_sqrt(a.D) is None:
+                live.add(a.D.coeffs)
+        self._terms = tuple(x for t in terms for x in (t.alpha, t.order, share(t.coeff)))
+        self.zero_part, self.tail = (
+            run if any(c is not zero for c in run) else _zero_run(p, len(run))
+            for run in (tuple(map(share, (a0, b1))), tuple(map(share, tail))))
+        self._roots = None if roots is None else tuple(x for pair in roots for x in pair)
         if len(live) > 1:
-            raise DomainError("all irrational poles and coefficients must "
-                              "share one discriminant")
+            raise DomainError("all irrational poles and coefficients must share one discriminant")
+
+    @property
+    def pole_terms(self):
+        """The pole terms by pole and order, rebuilt from the flat `_terms`."""
+        t = self._terms
+        return tuple(PoleTerm(*t[i:i + 3]) for i in range(0, len(t), 3))
 
     @property
     def weight(self):
@@ -322,11 +329,11 @@ class RPF:
 
     @property
     def _forms(self):
-        """The (s, form) pairs of a form-power function, else None.  Only
-        each form's first root is kept, as the pole terms hold it anyway."""
+        """The (s, form) pairs of a form-power function, else None, from
+        `_roots`, kept flat: s1, first root 1, s2, ... (poles hold the roots)."""
         if self._roots is None:
             return None
-        return tuple((s, _form_of_root(a)) for s, a in self._roots)
+        return tuple((s, _form_of_root(a)) for s, a in zip(self._roots[::2], self._roots[1::2]))
 
     def has_zero_pole(self):
         a0, b1 = self.zero_part
@@ -340,7 +347,7 @@ class RPF:
         return (
             self.p == other.p
             and self.k == other.k
-            and self.pole_terms == other.pole_terms
+            and self._terms == other._terms
             and self.zero_part == other.zero_part
             and self.tail == other.tail
         )
@@ -613,13 +620,11 @@ def build_union(k, system) -> RPF:
 
 def _atoms(q: RPF):
     """q as atoms c (z - beta)^(-n) plus a constant: a tuple of groups
-    (pole, beta, D v^2, ((n, c), ...)), one per pole with its pairs sorted
-    by order, and the constant a0.
+    (pole, beta, ((n, c), ...)), one per pole with its pairs sorted by
+    order, and the constant a0.
 
-    A pole term's beta = u + v sqrt(D) is an ExtElem: v = 0 when D is a
-    square and beta is the folded field value, else u = P/Q and v = 1/Q,
-    and the third entry is then the constant part D v^2 of the norm of
-    z - beta (None when v = 0).  The zero part a0 (1 - z^(-2k)) + b1/z and
+    A pole term's beta = (P + sqrt(D))/Q is an ExtElem, folded into
+    Q(lambda) when D is a square.  The zero part a0 (1 - z^(-2k)) + b1/z and
     the tail give the group at pole 0: b1 and tail entry t_n at orders 1
     and n, and -a0 at order 2k.  Orders may repeat within a group (b1 and
     t_1 at weight 2, or pole terms that share a pole and an order), so the
@@ -631,40 +636,28 @@ def _atoms(q: RPF):
         if key not in groups:
             groups[key] = (t.alpha, [])
         groups[key][1].append((t.order, t.coeff))
-    zero = _zero_field(q.p)
     entries = []
     for alpha, pairs in groups.values():
         pairs.sort(key=lambda pair: pair[0])
-        value = alpha.folded_value()
-        if value is not None:
-            entries.append((alpha, ExtElem(value, zero, alpha.D), None, tuple(pairs)))
-        else:
-            q_inv = 1 / FieldElem(alpha.Q)
-            beta = ExtElem(FieldElem(alpha.P) * q_inv, q_inv, alpha.D)
-            entries.append((alpha, beta, q_inv * q_inv * FieldElem(alpha.D), tuple(pairs)))
+        beta = fold_square(ExtElem(alpha.P, 1, alpha.D) / alpha.Q)
+        entries.append((alpha, beta, tuple(pairs)))
     a0, b1 = q.zero_part
     at_zero = [(1, b1)] + list(enumerate(q.tail, start=1)) + [(2 * q.k, -a0)]
     at_zero = tuple((n, c) for n, c in at_zero if not c.is_zero())
     if at_zero:
-        entries.append((0, _ext_of(q.p, 0), None, at_zero))
+        entries.append((0, _ext_of(q.p, 0), at_zero))
     return tuple(entries), a0
 
 
-def _evaluate(atoms, z: FieldElem) -> ExtElem:
-    """The sum of the atoms at z; PoleHit names the pole of the group hit."""
+def _evaluate(atoms, z) -> ExtElem:
+    """The sum of the atoms at z in the base field; PoleHit names the pole
+    hit (z - beta is never zero over a non-square D)."""
     groups, total = atoms
-    for pole, beta, d_v2, pairs in groups:
-        if d_v2 is None:
-            den = z - beta.u
-            if den.is_zero():
-                raise PoleHit(f"the point is the pole {pole!r}", pole=pole)
-            inv = 1 / den
-        else:
-            # (z - beta)^-1 done by hand: the norm of z - u - v sqrt(D) is
-            # (z - u)^2 - D v^2, never zero since D is not a square.
-            u = z - beta.u
-            ninv = 1 / (u * u - d_v2)
-            inv = ExtElem(u * ninv, beta.v * ninv, beta.D)
+    for pole, beta, pairs in groups:
+        den = z - beta
+        if den.is_zero():
+            raise PoleHit(f"the point is the pole {pole!r}", pole=pole)
+        inv = den.inverse()
         power = inv
         at = 1
         for order, coeff in pairs:
@@ -688,13 +681,13 @@ def _relation_matrices(p):
     to each relation, the identity first: {I, T} for the inversion,
     {U^j : j < p} for the rotation."""
     def entries(m):
-        return tuple(FieldElem(x) for x in (m.a, m.b, m.c, m.d))
+        return tuple(_ext_of(p, x) for x in (m.a, m.b, m.c, m.d))
     u = generator(p, "U")
     rotation = tuple(entries(u ** j) for j in range(p))
     return (rotation[0], entries(generator(p, "T"))), rotation
 
 
-def _residual(q: RPF, atoms, matrices, z: FieldElem, value: ExtElem) -> ExtElem:
+def _residual(q: RPF, atoms, matrices, z, value: ExtElem) -> ExtElem:
     """The sum of (cz + d)^(-2k) q(Mz) over one relation's matrices M,
     given value = q(z) for the identity that leads them.  A matrix with
     cz + d = 0 sends z to infinity; PoleHit then names z = -d/c."""
@@ -703,8 +696,8 @@ def _residual(q: RPF, atoms, matrices, z: FieldElem, value: ExtElem) -> ExtElem:
         den = z * c + d
         if den.is_zero():
             raise PoleHit("a matrix of the relation sends the point to infinity",
-                          pole=-d / c)
-        den_inv = 1 / den
+                          pole=(-d / c).u)
+        den_inv = den.inverse()
         total = total + _evaluate(atoms, (z * a + b) * den_inv) * den_inv ** (2 * q.k)
     return total
 
@@ -793,10 +786,18 @@ def _add_atom(merged, key, c):
     merged[key] = c if prev is None else prev + c
 
 
+def _powers(x, top):
+    """[1, x, ..., x^top]."""
+    out = [_ext_of(x.p, 1)]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
+
+
 def _slash_into(merged, k, groups, const, m):
     """Add the weight-2k slash (cz + d)^(-2k) f(Mz) of the atoms by
-    M = (a b; c d) to `merged`, keyed by (u, v, n) for c (z - beta)^(-n)
-    with beta = u + v sqrt(D), and by None for the constant.
+    M = (a b; c d) to `merged`, keyed by beta.key() + (n,) for
+    c (z - beta)^(-n), and by None for the constant.
 
     With e = a - beta c, Mz - beta = (e z + b - beta d)/(cz + d), so an
     atom c0 (Mz - beta)^(-n) slashes to:
@@ -807,53 +808,54 @@ def _slash_into(merged, k, groups, const, m):
                beta' = M^(-1) beta = (beta d - b)/e, split by the two-pole
                binomial formula as in `principal_part`.
     rho != beta' since M(rho) = infinity.  A constant c0 slashes to
-    c0 d^(-2k) when c = 0, else to c0 c^(-2k) (z - rho)^(-2k)."""
+    c0 d^(-2k) when c = 0, else to c0 c^(-2k) (z - rho)^(-2k).  Powers of
+    1/c and of the gap (beta' - rho)^(-1) are built only as far as an atom
+    or a nonzero constant uses them, so a large k with few atoms is cheap."""
     a, b, c, d = m
     two_k = 2 * k
     if c.is_zero():
-        for _, beta, _, pairs in groups:
+        for _, beta, pairs in groups:
             image = (beta * d - b) / a
             for n, c0 in pairs:
-                _add_atom(merged, (image.u, image.v, n), c0 * (d ** (n - two_k) / a ** n))
+                _add_atom(merged, image.key() + (n,), c0 * (d ** (n - two_k) / a ** n))
         if not const.is_zero():
             _add_atom(merged, None, const * d ** (-two_k))
         return
     rho = -d / c
-    zero = _zero_field(rho.p)
-    c_inv = [FieldElem.from_int(rho.p, 1)]
-    for _ in range(two_k):
-        c_inv.append(c_inv[-1] / c)
+    at_rho = rho.key()
+    # pairs are sorted by order: a group's first order is its least
+    c_inv = _powers(c.inverse(), max([two_k - pairs[0][0] for _, _, pairs in groups]
+                               + [0 if const.is_zero() else two_k]))
     if not const.is_zero():
-        _add_atom(merged, (rho, zero, two_k), const * c_inv[two_k])
-    for _, beta, _, pairs in groups:
+        _add_atom(merged, at_rho + (two_k,), const * c_inv[two_k])
+    for _, beta, pairs in groups:
         e = a - beta * c
         if e.is_zero():
-            s = (b - beta * d).inverse()
+            s_pow = _powers((b - beta * d).inverse(), pairs[-1][0])
             for n, c0 in pairs:
-                coeff = c0 * s ** n * c_inv[two_k - n]
-                _add_atom(merged, None if n == two_k else (rho, zero, two_k - n), coeff)
+                coeff = c0 * s_pow[n] * c_inv[two_k - n]
+                _add_atom(merged, None if n == two_k else at_rho + (two_k - n,), coeff)
             continue
-        e_inv = e.inverse()
-        image = (beta * d - b) * e_inv
-        gap = (image - rho).inverse()  # (beta' - rho)^(-1)
-        gap_pow = [_ext_of(rho.p, 1)]
-        for _ in range(two_k - 1):
-            gap_pow.append(gap_pow[-1] * gap)
+        e_pow = _powers(e.inverse(), pairs[-1][0])
+        image = (beta * d - b) * e_pow[1]
+        at_image = image.key()
+        # (beta' - rho)^(-j), up to 2k - 1 when some atom splits
+        gap_pow = _powers((image - rho).inverse(), two_k - 1 if pairs[0][0] < two_k else 0)
         for n, c0 in pairs:
-            f = c0 * e_inv ** n * c_inv[two_k - n]
+            f = c0 * e_pow[n] * c_inv[two_k - n]
             r = two_k - n
             if r == 0:
-                _add_atom(merged, (image.u, image.v, n), f)
+                _add_atom(merged, at_image + (n,), f)
                 continue
             # (z - rho)^(-r) (z - beta')^(-n): the coefficient of
             # (z - beta')^(-(n-j)) is binom(r-1+j, j) (-1)^j gap^(r+j), that
             # of (z - rho)^(-(r-j)) is binom(n-1+j, j) (-1)^n gap^(n+j)
             for j in range(n):
                 scale = comb(r - 1 + j, j) * (-1 if j % 2 else 1)
-                _add_atom(merged, (image.u, image.v, n - j), f * gap_pow[r + j] * scale)
+                _add_atom(merged, at_image + (n - j,), f * gap_pow[r + j] * scale)
             for j in range(r):
                 scale = comb(n - 1 + j, j) * (-1 if n % 2 else 1)
-                _add_atom(merged, (rho, zero, r - j), f * gap_pow[n + j] * scale)
+                _add_atom(merged, at_rho + (r - j,), f * gap_pow[n + j] * scale)
 
 
 def _merged_relations(q: RPF):
@@ -879,14 +881,14 @@ def verify(q: RPF) -> VerifyResult:
         pairs (beta, n) are linearly independent in K(z), so a sum of
         atoms is the zero function iff its merged coefficients are zero;
         K is Q(lambda)(sqrt(D)) for the one non-square D a function may
-        carry (`RPF._check_discriminants`), or Q(lambda) when it has none;
+        carry (`RPF.__init__`), or Q(lambda) when it has none;
       - every slashed atom is such a sum: the new pole rho = -d/c differs
         from beta' = M^(-1) beta, since M(rho) = infinity while
         M(beta') = beta is finite, so the binomial split is valid;
-      - keys are unique per value: a pole is keyed by the canonical field
-        pair (u, v) of beta = u + v sqrt(D), v = 0 for values in Q(lambda)
-        (square discriminants are folded), and with one D per function
-        equal values have equal pairs.
+      - keys are unique per value: a pole beta is keyed by its canonical
+        `ExtElem.key()`, whose V is 0 for values in Q(lambda) (square
+        discriminants are folded), and with one D per function equal
+        values have equal keys.
     Exact ExtElem arithmetic makes each zero test a proof.  When a
     relation fails, the even points 2, 4, 6, ... are walked as in
     `_sampled_verify` for the first witness; should that walk use up
@@ -1163,9 +1165,7 @@ def to_latex(q: RPF) -> str:
                     num = "1" if neg == "1" else neg
                     chunks.append(r"-\frac{%s}{%s}" % (num, denom))
             else:
-                chunks.append(
-                    r"\frac{%s}{%s}" % (cl, denom)
-                )
+                chunks.append(r"\frac{%s}{%s}" % (cl, denom))
     chunks.extend(_zero_tail_latex(q))
     if not chunks:
         return "0"

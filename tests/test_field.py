@@ -445,6 +445,108 @@ def test_ext_random_identities():
             assert abs(mp_ext(x * x) - mp_ext(x) ** 2) < mp.mpf(10) ** -25
 
 
+def _canonical(x):
+    return x.den > 0 and gcd(x.den, *x.U, *x.V) == 1
+
+
+def test_ext_standard_representation_matches_field_pairs():
+    # + - * / inverse and norm on the integer vectors (U, V) over den agree
+    # with the same formulas on FieldElem pairs (u, v), over a non-square D
+    # and two squares, and every result is canonical
+    rng = random.Random(16)
+    for p in range(3, 16):
+        lam = lambda_elem(p)
+        for D in (lam + 2, RingElem.from_int(p, 4), (lam + 1) * (lam + 1)):
+            Df = FieldElem(D)
+
+            def rand():
+                v = FieldElem(rand_ring(rng, p), rng.randint(1, 12)) if rng.random() < 0.7 else 0
+                return FieldElem(rand_ring(rng, p), rng.randint(1, 12)), FieldElem.lift(p, v)
+
+            for _ in range(4):
+                a, b = rand(), rand()
+                x, y = ExtElem(*a, D), ExtElem(*b, D)
+                norm = b[0] * b[0] - b[1] * b[1] * Df
+                want = [
+                    (x + y, (a[0] + b[0], a[1] + b[1])),
+                    (x - y, (a[0] - b[0], a[1] - b[1])),
+                    (x * y, (a[0] * b[0] + a[1] * b[1] * Df, a[0] * b[1] + a[1] * b[0])),
+                    (x * 3 - 2, (a[0] * 3 - 2, a[1] * 3)),
+                    (-x, (-a[0], -a[1])),
+                ]
+                if not norm.is_zero():
+                    inv = (b[0] / norm, -b[1] / norm)
+                    want += [(y.inverse(), inv),
+                             (x / y, (a[0] * inv[0] + a[1] * inv[1] * Df, a[0] * inv[1] + a[1] * inv[0]))]
+                for got, (u, v) in want:
+                    assert got.u == u and got.v == v and got.D is D and _canonical(got)
+                assert y.norm() == norm
+
+
+def test_ext_key_is_equal_exactly_for_equal_values():
+    rng = random.Random(17)
+    for p in (3, 4, 5, 7, 9):
+        lam = lambda_elem(p)
+        D = lam + 2
+        pool = [ExtElem(FieldElem(lam * rng.randint(-2, 2) + rng.randint(-2, 2), rng.randint(1, 3)),
+                        Fraction(rng.randint(-1, 1), rng.randint(1, 2)), D) for _ in range(12)]
+        # the same values built another way: scaled, summed and divided back
+        pool += [(x * 6 + ExtElem(0, 1, D)) / 6 - ExtElem(0, Fraction(1, 6), D) for x in pool[:6]]
+        for x in pool:
+            assert _canonical(x)
+            for y in pool:
+                assert (x.key() == y.key()) == (x == y)
+        # a value in Q(lambda) keys alike under any D tag
+        assert ExtElem(lam, 0, D).key() == ExtElem(lam, 0, RingElem.from_int(p, 1)).key()
+
+
+def test_ext_mixed_tags_and_witness():
+    D2, D3 = RingElem.from_int(4, 2), RingElem.from_int(4, 3)
+    b = ExtElem(0, 1, D3)
+    # a value with v = 0 takes the other operand's tag; two such keep the left one
+    assert (ExtElem(5, 0, D2) + b).D is D3 and (b * ExtElem(5, 0, D2)).D is D3
+    assert (ExtElem(5, 0, D2) - ExtElem(1, 0, D3)).D is D2
+    # 3 = lambda^2 at p = 6: lambda - sqrt(3) is a zero divisor with witness lambda
+    lam6 = lambda_elem(6)
+    try:
+        ExtElem(FieldElem(lam6), -1, RingElem.from_int(6, 3)).inverse()
+        assert False, "zero divisor inverted"
+    except ZeroDivisor as e:
+        assert e.witness == FieldElem(lam6)
+
+
+def test_equal_values_hash_equal():
+    assert len({2, FieldElem.from_int(5, 2), ExtElem(2, 0, RingElem.from_int(5, 3))}) == 1
+    rng = random.Random(18)
+    for p in (3, 4, 5, 7):
+        lam = lambda_elem(p)
+        D = lam + 2
+
+        def rand():
+            q = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            num = RingElem(p, [q.numerator, rng.choice((0, 0, 1))])
+            kind = rng.randrange(5)
+            if kind == 0:
+                return q.numerator if q.denominator == 1 else q
+            if kind == 1:
+                return q
+            if kind == 2:
+                return FieldElem(num, q.denominator)
+            # the tag is any equal D, or any D at all when v = 0
+            tag = RingElem(p, D.coeffs) if rng.random() < 0.5 else D
+            return ExtElem(FieldElem(num, q.denominator), rng.choice((0, 0, 1)) if kind == 4 else 0,
+                           tag if kind == 4 else RingElem.from_int(p, rng.randint(1, 9)))
+
+        values = [rand() for _ in range(40)]
+        equal = 0
+        for x in values:
+            for y in values:
+                if x == y:
+                    equal += 1
+                    assert hash(x) == hash(y), (x, y)
+        assert equal > 2 * len(values)
+
+
 def test_fold_square_folds_squares():
     D4 = RingElem.from_int(4, 4)
     root = fold_square(ExtElem(0, 1, D4))

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -34,6 +35,7 @@ from heckerpf.rpf import (
     _sampled_verify,
     _simple_form,
     _slash_into,
+    _small_ring,
     build_ansatz,
     build_symmetric_odd,
     build_union,
@@ -657,9 +659,13 @@ def test_form_power_scalar_over_a_square_discriminant():
 
 
 def test_slash_branches_merge_exactly():
-    zero4 = FieldElem.from_int(4, 0)
+    one4 = RingElem.from_int(4, 1)
     lam4 = FieldElem(lambda_elem(4))
     identity, inversion = _relation_matrices(4)[0]
+
+    def at(pole, n):
+        # the merge key of (z - pole)^-n for a pole in Q(lambda)
+        return ExtElem(pole, 0, one4).key() + (n,)
 
     def slashed(q, m):
         groups, const = _atoms(q)
@@ -671,20 +677,20 @@ def test_slash_branches_merge_exactly():
     # identity) keeps both; under z -> -1/z, beta = 0 is T(infinity), so
     # e = 0 and n = 2k give a constant, and the constant 1 becomes z^-4
     q = q_zero(4, 2, 1)
-    assert slashed(q, identity) == {None: 1, (zero4, zero4, 4): -1}
-    assert slashed(q, inversion) == {None: -1, (zero4, zero4, 4): 1}
+    assert slashed(q, identity) == {None: 1, at(0, 4): -1}
+    assert slashed(q, inversion) == {None: -1, at(0, 4): 1}
     inv, rot = list(_merged_relations(q))
-    assert set(inv) == {None, (zero4, zero4, 4)}
+    assert set(inv) == {None, at(0, 4)}
     assert all(c.is_zero() for c in inv.values()) and verify(q).checked == (2, len(rot))
 
     # e = 0 with n < 2k: z^-4 (-1/z)^-1 = -z^-3
     q = RPF(4, 2, (), None, (1,))
-    assert slashed(q, inversion) == {(zero4, zero4, 3): -1}
+    assert slashed(q, inversion) == {at(0, 3): -1}
 
     # gamma = 0 away from the identity: 1/z under z -> z + lambda at weight 2
     q = RPF(4, 1, (), None, (1,))
-    translation = (FieldElem.from_int(4, 1), lam4, zero4, FieldElem.from_int(4, 1))
-    assert slashed(q, translation) == {(-lam4, zero4, 1): 1}
+    translation = tuple(ExtElem(x, 0, one4) for x in (1, lam4, 0, 1))
+    assert slashed(q, translation) == {at(-lam4, 1): 1}
 
     # the general branch: (z^2 - 1)^-2 is invariant under z -> -1/z at
     # weight 4, so the inversion relation doubles every coefficient at
@@ -692,17 +698,44 @@ def test_slash_branches_merge_exactly():
     f4 = _simple_form(isp_of_word(GenWord(4, [2])).positives[0])
     q = from_form_powers(2, [(1, f4)])
     inv, _ = list(_merged_relations(q))
-    coeff = {(t.alpha.folded_value(), t.order): t.coeff for t in q.pole_terms}
+    coeff = {at(t.alpha.folded_value(), t.order): t.coeff for t in q.pole_terms}
     assert len(coeff) == 4
     at_zero = set()
-    for (u, v, n), c in inv.items():
-        assert v.is_zero()
-        if u.is_zero():
+    for key, c in inv.items():
+        U, V, den, n = key
+        assert not any(V)
+        if not any(U):
             at_zero.add(n)
             assert c.is_zero()
         else:
-            assert c == 2 * coeff[(u, n)]
+            assert c == 2 * coeff[key]
     assert at_zero == {1, 2, 3} and len(inv) == 7
+
+
+def test_built_functions_hold_one_object_per_value():
+    # the slots of the rpf-verify benchmark workload: (p, k, n, symmetric)
+    slots = ((3, 3, 2, True), (3, 1, 4, False), (5, 2, 1, False), (6, 1, 1, True),
+             (7, 1, 1, False), (8, 1, 1, True), (9, 1, 1, False))
+    for p, k, n, symmetric in slots:
+        systems = [s for s in enumerate_isps(p, n) if s.symmetric == symmetric][:3]
+        assert systems
+        for system in systems:
+            q = (build_symmetric_odd if symmetric else build_union)(k, system)
+            rings = [r for t in q.pole_terms
+                     for r in (t.alpha.P, t.alpha.Q, t.alpha.D, t.coeff.D)]
+            assert len({id(r) for r in rings}) == len({r.coeffs for r in rings})
+            # a small value is one object across all functions of this p
+            assert all(r is _small_ring(p, r.coeffs) for r in rings if max(map(abs, r.coeffs)) <= 2)
+            coeffs = [t.coeff for t in q.pole_terms]
+            assert len({id(c) for c in coeffs}) == len({(c.D.coeffs, c.key()) for c in coeffs})
+
+
+def test_verify_at_a_large_half_weight_is_fast():
+    # the zero function read with k = 16000: no atom needs a power of 1/c
+    q = from_json(to_json(RPF(5, 16000)))
+    start = time.perf_counter()
+    assert verify(q).valid
+    assert time.perf_counter() - start < 3
 
 
 def test_json_roundtrip():
