@@ -609,24 +609,32 @@ def test_ansatz_outputs_are_pinned():
     inputs += [(2, isp_of_word(GenWord(p, w))) for p, w in ((3, [1, 2]), (4, [2]), (6, [3]))]
     inputs.append((4, isp_of_word(GenWord(4, [2]))))
     assert len(inputs) == 94
-    digest = hashlib.sha256()
+    # the second digest is over to_latex of the same outputs: the pole-term
+    # branch of the renderer, with zero parts and tails
+    digest, latex = hashlib.sha256(), hashlib.sha256()
     for k, system in inputs:
         got = build_ansatz(k, system, "symmetric" if system.symmetric else "nonsymmetric")
         if isinstance(got, NoSolution):
             digest.update(b"NoSolution\n")
+            latex.update(b"NoSolution\n")
             continue
         for f in [got] if isinstance(got, RPF) else [got.basepoint, *got.directions]:
             digest.update(to_json(f).encode() + b"\n")
+            latex.update(to_latex(f).encode() + b"\n")
     assert digest.hexdigest() == (
         "7f9a0fc27717f67f53213757346edce1feed20e3f2b08a2e4adce0c338ff0bae")
+    assert latex.hexdigest() == (
+        "5f4b8454f0cb8c768932105ea08326b5dfcf05f247e680a701cdb4d1b0d05888")
 
 
 def test_builder_outputs_are_pinned():
     # sha256 over to_json and to_latex of every form-power builder output:
     # p = 3..9, n <= 2, k = 1..3, build_symmetric_odd for self-conjugate
     # systems at odd k and build_union for the others (self-conjugate
-    # systems at even k are the ansatz digest's)
-    digest = hashlib.sha256()
+    # systems at even k are the ansatz digest's); the second digest is over
+    # to_latex of the same outputs rebuilt as bare pole terms, which print
+    # term by term instead of in the form-power shape
+    digest, poles = hashlib.sha256(), hashlib.sha256()
     count = 0
     for p in range(3, 10):
         for n in (1, 2):
@@ -637,10 +645,13 @@ def test_builder_outputs_are_pinned():
                     build = build_symmetric_odd if system.symmetric else build_union
                     q = build(k, system)
                     digest.update(to_json(q).encode() + b"\n" + to_latex(q).encode() + b"\n")
+                    poles.update(to_latex(RPF(q.p, q.k, q.pole_terms)).encode() + b"\n")
                     count += 1
     assert count == 296
     assert digest.hexdigest() == (
         "a5773e65ec4583b5c97fe4253afc8463f71179b06e45d58148c8672809de4308")
+    assert poles.hexdigest() == (
+        "8973bb66863583b1017059c8fd3fec74a25d9f22d8d018f534ec969a37f44530")
 
 
 def test_form_power_scalar_over_a_square_discriminant():
