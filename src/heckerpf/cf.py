@@ -26,13 +26,13 @@ from .field import (
     decimal_of,
     lambda_elem,
     lambda_interval,
-    poly_latex,
     poly_str,
     ring_div_exact,
     ring_sqrt,
     sign,
 )
 from .group import GenWord, Mat, _product, canonical_rotation, classify
+from .latex import surd_latex  # re-exported: the renderer lives in latex.py
 
 __all__ = [
     "CF",
@@ -266,25 +266,6 @@ def surd_str(alpha: Surd) -> str:
     """One-line plain text (P + √(D)) / (Q), with λ for lambda."""
     P, Q, D = (poly_str(x.coeffs, "λ") for x in (alpha.P, alpha.Q, alpha.D))
     return f"({P} + √({D})) / ({Q})"
-
-
-def surd_latex(alpha: Surd) -> str:
-    """LaTeX for (P + sqrt(D)) / Q, with the sign of Q moved to the top."""
-    flip = sign(alpha.Q) < 0
-    numer, denom = (-alpha.P, -alpha.Q) if flip else (alpha.P, alpha.Q)
-    radical = r"\sqrt{%s}" % poly_latex(alpha.D.coeffs)
-    plain_denom = denom == RingElem.from_int(alpha.p, 1)
-    if numer.is_zero():
-        # pure radical: hoist the sign so callers can absorb it
-        body = radical if plain_denom else r"\frac{%s}{%s}" % (
-            radical,
-            poly_latex(denom.coeffs),
-        )
-        return ("-" + body) if flip else body
-    top = poly_latex(numer.coeffs) + (" - " if flip else " + ") + radical
-    if plain_denom:
-        return r"\left(%s\right)" % top
-    return r"\frac{%s}{%s}" % (top, poly_latex(denom.coeffs))
 
 
 # ---------------------------------------------------------------------------

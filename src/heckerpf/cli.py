@@ -25,33 +25,17 @@ import argparse
 import json
 import sys
 
-from .cf import cf_expand, period_to_word, surd_latex, surd_str, word_to_period
+from .cf import cf_expand, period_to_word, surd_str, word_to_period
 from .field import DomainError, minimal_polynomial, poly_latex, poly_str
 from .group import GenWord
 from .isp import count_isps, enumerate_isps, isp_of_word
-from .rpf import (
-    NoSolution,
-    SolutionFamily,
-    build_ansatz,
-    build_symmetric_odd,
-    build_union,
-    from_json,
-    verify,
-    to_latex,
-)
+from .latex import cf_latex, family_latex, surd_latex, to_latex
 
 NO_SOLUTION_MESSAGE = "no RPF exists for this (ISP, weight) under this template"
 
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
-def _cf_latex(expansion) -> str:
-    pre = ", ".join(str(r) for r in expansion.preperiod)
-    per = ", ".join(str(r) for r in expansion.period)
-    inner = (pre + ", " if pre else "") + r"\overline{%s}" % per
-    return r"\left[%s\right]" % inner
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +173,7 @@ def _cmd_cf(args, parser) -> int:
             }
         )
     elif args.output == "latex":
-        print(r"%s = %s" % (surd_latex(beta), _cf_latex(expansion)))
+        print(r"%s = %s" % (surd_latex(beta), cf_latex(expansion)))
     else:
         word = ",".join(str(x) for x in w.letters)
         print(f"word {word}")
@@ -209,62 +193,25 @@ def _resolve_mode(mode: str, symmetric: bool, k: int) -> str:
     return "ansatz"
 
 
-def _print_rpf(args, w: GenWord, mode: str, q) -> None:
+def _print_rpf(args, w: GenWord, mode: str, kind: str, latex: str, fields, text=()) -> None:
+    """Print an answer of the rpf subcommand.  JSON is the envelope
+    {result: kind, p, word, weight, mode} with `fields()` added; the latex
+    output is `latex`; text is the word/weight/mode header over the lines of
+    `text`, or `latex` alone when there are none."""
     if args.output == "json":
-        _emit_json(
-            {
-                "result": "rpf",
-                "p": args.p,
-                "word": list(w.letters),
-                "weight": args.weight,
-                "mode": mode,
-                "rpf": q.to_json_dict(),
-                "latex": to_latex(q),
-                "verified": True,
-            }
-        )
-    elif args.output == "latex":
-        print(to_latex(q))
+        _emit_json({"result": kind, "p": args.p, "word": list(w.letters),
+                    "weight": args.weight, "mode": mode, **fields()})
+    elif args.output == "latex" or not text:
+        print(latex)
     else:
         word = ",".join(str(x) for x in w.letters)
         print(f"word {word}  weight {args.weight}  mode {mode}")
-        print(to_latex(q))
-        print("verified: valid")
-
-
-def _print_family(args, w: GenWord, mode: str, family: SolutionFamily) -> None:
-    if args.output == "json":
-        _emit_json(
-            {
-                "result": "family",
-                "p": args.p,
-                "word": list(w.letters),
-                "weight": args.weight,
-                "mode": mode,
-                "basepoint": family.basepoint.to_json_dict(),
-                "directions": [d.to_json_dict() for d in family.directions],
-                "latex": _family_latex(family),
-                "verified": True,
-            }
-        )
-    elif args.output == "latex":
-        print(_family_latex(family))
-    else:
-        word = ",".join(str(x) for x in w.letters)
-        print(f"word {word}  weight {args.weight}  mode {mode}")
-        print(f"solution family with {len(family.directions)} free direction(s)")
-        print(_family_latex(family))
-        print("verified: valid (basepoint and every direction)")
-
-
-def _family_latex(family: SolutionFamily) -> str:
-    parts = [to_latex(family.basepoint)]
-    for i, d in enumerate(family.directions, start=1):
-        parts.append(r"t_{%d} \left[ %s \right]" % (i, to_latex(d)))
-    return " + ".join(parts)
+        print("\n".join(text))
 
 
 def _cmd_rpf(args, parser) -> int:
+    from .rpf import NoSolution, SolutionFamily, build_ansatz, build_symmetric_odd, build_union, verify
+
     if args.weight % 2 != 0:
         parser.error("--weight must be a positive even integer")
     k = args.weight // 2
@@ -280,19 +227,8 @@ def _cmd_rpf(args, parser) -> int:
         result = build_ansatz(k, system, template)
 
     if isinstance(result, NoSolution):
-        if args.output == "json":
-            _emit_json(
-                {
-                    "result": "no-solution",
-                    "p": args.p,
-                    "word": list(w.letters),
-                    "weight": args.weight,
-                    "mode": mode,
-                    "message": NO_SOLUTION_MESSAGE,
-                }
-            )
-        else:
-            print(NO_SOLUTION_MESSAGE)
+        _print_rpf(args, w, mode, "no-solution", NO_SOLUTION_MESSAGE,
+                   lambda: {"message": NO_SOLUTION_MESSAGE})
         return 0
 
     family = isinstance(result, SolutionFamily)
@@ -301,13 +237,27 @@ def _cmd_rpf(args, parser) -> int:
         if not r.valid:
             raise DomainError(f"construction failed verification: {r.witness}")
     if family:
-        _print_family(args, w, mode, result)
+        latex = family_latex(result)
+        _print_rpf(args, w, mode, "family", latex, lambda: {
+            "basepoint": result.basepoint.to_json_dict(),
+            "directions": [d.to_json_dict() for d in result.directions],
+            "latex": latex,
+            "verified": True,
+        }, [f"solution family with {len(result.directions)} free direction(s)", latex,
+            "verified: valid (basepoint and every direction)"])
     else:
-        _print_rpf(args, w, mode, result)
+        latex = to_latex(result)
+        _print_rpf(args, w, mode, "rpf", latex, lambda: {
+            "rpf": result.to_json_dict(),
+            "latex": latex,
+            "verified": True,
+        }, [latex, "verified: valid"])
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
+    from .rpf import from_json, verify
+
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()

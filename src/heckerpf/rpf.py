@@ -39,14 +39,14 @@ from .field import (
     FieldElem,
     RingElem,
     fold_square,
-    poly_latex,
     ring_sqrt,
     sign,
 )
-from .cf import Surd, surd_latex
+from .cf import Surd
 from .group import generator
 from .quadforms import QForm, _form_of_root, is_simple
 from .isp import isp_of_word
+from .latex import to_latex  # re-exported: the renderer lives in latex.py
 
 
 class PoleHit(DomainError):
@@ -1017,159 +1017,3 @@ def build_ansatz(k, system, template):
         return base
     family = tuple(RPF(p, k, (), None, d) for d in directions)
     return SolutionFamily(base, family)
-
-
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
-
-
-def _field_latex(x: FieldElem) -> str:
-    if x.den == 1:
-        return poly_latex(x.num.coeffs)
-    body = poly_latex(x.num.coeffs)
-    if body.startswith("-"):
-        return r"-\frac{%s}{%d}" % (poly_latex((-x.num).coeffs), x.den)
-    return r"\frac{%s}{%d}" % (body, x.den)
-
-
-def _ext_latex(x: ExtElem) -> str:
-    if x.v.is_zero():
-        return _field_latex(x.u)
-    radical = r"\sqrt{%s}" % poly_latex(x.D.coeffs)
-    v = x.v
-    if v == FieldElem.from_int(x.p, 1):
-        v_part = radical
-    elif v == FieldElem.from_int(x.p, -1):
-        v_part = "-" + radical
-    else:
-        v_part = r"%s \cdot %s" % (_field_latex(v), radical)
-    if x.u.is_zero():
-        return v_part
-    joiner = " + " if not v_part.startswith("-") else " "
-    return _field_latex(x.u) + joiner + v_part
-
-
-def _wrap_if_composite(body: str) -> str:
-    """Parenthesize renderings that would not bind as a single operand."""
-    if body.startswith("-") or " + " in body or " - " in body:
-        return r"\left(%s\right)" % body
-    return body
-
-
-def _pole_denom_latex(alpha: Surd) -> str:
-    """The z - alpha denominator, with square discriminants folded to
-    their field value so poles like -1 print as z + 1, not z - -1."""
-    folded = alpha.folded_value()
-    if folded is None:
-        body = surd_latex(alpha)
-        if body.startswith("-"):
-            return r"z + %s" % body[1:]
-        return r"z - %s" % body
-    body = _field_latex(folded)
-    if body.startswith("-"):
-        return r"z + %s" % _wrap_if_composite(_field_latex(-folded))
-    return r"z - %s" % _wrap_if_composite(body)
-
-
-def _form_latex(f: QForm) -> str:
-    parts = []
-    for ring, power in ((f.A, "z^{2}"), (f.B, "z"), (f.C, "")):
-        if ring.is_zero():
-            continue
-        body = poly_latex(ring.coeffs)
-        single = " + " not in body and " - " not in body
-        if single:
-            sign_neg = body.startswith("-")
-            mag = body[1:] if sign_neg else body
-            if power:
-                term = power if mag == "1" else f"{mag} {power}"
-            else:
-                term = mag
-        elif power:
-            sign_neg = False
-            term = r"\left(%s\right) %s" % (body, power)
-        else:
-            # multi-term constant: its terms carry their own signs, so it
-            # splices into the running sum directly
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append("- " + body[1:])
-            else:
-                parts.append("+ " + body)
-            continue
-        if not parts:
-            parts.append(("-" if sign_neg else "") + term)
-        else:
-            parts.append(("- " if sign_neg else "+ ") + term)
-    return " ".join(parts) if parts else "0"
-
-
-def _zero_tail_latex(q: RPF) -> list:
-    chunks = []
-    a0, b1 = q.zero_part
-    one = ExtElem(1, 0, _one_ring(q.p))
-    if not a0.is_zero():
-        body = r"\left(1 - z^{-%d}\right)" % (2 * q.k)
-        chunks.append(body if a0 == one else r"%s %s" % (_ext_latex(a0), body))
-    if not b1.is_zero():
-        if b1 == one:
-            chunks.append(r"z^{-1}")
-        else:
-            chunks.append(r"%s \, z^{-1}" % _ext_latex(b1))
-    for n, c in enumerate(q.tail, start=1):
-        if not c.is_zero():
-            z_pow = "z" if n == 1 else r"z^{%d}" % n
-            chunks.append(r"\frac{%s}{%s}" % (_ext_latex(c), z_pow))
-    return chunks
-
-
-def to_latex(q: RPF) -> str:
-    """Deterministic LaTeX for q.
-
-    Functions produced by the form-power builders print in the compact
-    shape  s / (A z^2 + B z + C)^k;  everything else prints as explicit
-    pole terms plus the zero/tail part.
-    """
-    chunks = []
-    if q._forms is not None:
-        for s, f in q._forms:
-            body = _form_latex(f)
-            denom = (
-                r"\left(%s\right)^{%d}" % (body, q.k)
-                if q.k > 1
-                else r"%s" % body
-            )
-            if s == ExtElem(1, 0, _one_ring(q.p)):
-                num = "1"
-            elif s == ExtElem(-1, 0, _one_ring(q.p)):
-                chunks.append(r"-\frac{1}{%s}" % denom)
-                continue
-            else:
-                num = _ext_latex(s)
-            chunks.append(r"\frac{%s}{%s}" % (num, denom))
-    else:
-        for t in q.pole_terms:
-            denom = _pole_denom_latex(t.alpha)
-            if t.order > 1:
-                denom = r"\left(%s\right)^{%d}" % (denom, t.order)
-            cl = _ext_latex(t.coeff)
-            if cl == "1":
-                chunks.append(r"\frac{1}{%s}" % denom)
-            elif cl.startswith("-"):
-                neg = _ext_latex(-t.coeff)
-                if neg.startswith("-"):
-                    chunks.append(r"\frac{%s}{%s}" % (cl, denom))
-                else:
-                    num = "1" if neg == "1" else neg
-                    chunks.append(r"-\frac{%s}{%s}" % (num, denom))
-            else:
-                chunks.append(r"\frac{%s}{%s}" % (cl, denom))
-    chunks.extend(_zero_tail_latex(q))
-    if not chunks:
-        return "0"
-    out = chunks[0]
-    for c in chunks[1:]:
-        out += " " + c if c.startswith("-") else " + " + c
-    return out

@@ -6,13 +6,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import mpmath as mp
 
-from heckerpf import cli
 from heckerpf.cli import NO_SOLUTION_MESSAGE, main
-from heckerpf.rpf import NoSolution
 
 mp.mp.dps = 50
 
@@ -178,23 +178,35 @@ def test_rpf_usage_and_domain_errors():
 
 
 def test_rpf_no_solution_branch():
-    real = cli.build_ansatz
-    cli.build_ansatz = lambda k, system, template: NoSolution()
-    try:
-        code, out, _ = run_cli(
-            ["rpf", "--p", "4", "--word", "2", "--weight", "4", "--mode", "ansatz"]
-        )
-        assert code == 0 and out.strip() == NO_SOLUTION_MESSAGE
+    # the p = 4 word 2 system has no weight-8 ansatz solution (its stdout
+    # digest is pinned as no-solution below)
+    argv = ["rpf", "--p", "4", "--word", "2", "--weight", "8", "--mode", "ansatz"]
+    code, out, _ = run_cli(argv)
+    assert code == 0 and out.strip() == NO_SOLUTION_MESSAGE
 
-        code, out, _ = run_cli(
-            ["rpf", "--p", "4", "--word", "2", "--weight", "4", "--mode", "ansatz",
-             "--output", "json"]
-        )
-        assert code == 0
-        d = json.loads(out)
-        assert d["result"] == "no-solution" and d["message"] == NO_SOLUTION_MESSAGE
-    finally:
-        cli.build_ansatz = real
+    code, out, _ = run_cli(argv + ["--output", "json"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["result"] == "no-solution" and d["message"] == NO_SOLUTION_MESSAGE
+
+
+def test_subcommands_without_rpf_never_import_it():
+    # minpoly, count, isps and cf print without compiling rpf.py
+    script = (
+        "import contextlib, io, sys\n"
+        "from heckerpf.cli import main\n"
+        "for argv in (['minpoly', '--p', '5'], ['count', '--p', '5', '--max-n', '2'],\n"
+        "             ['isps', '--p', '5', '--n', '1', '--output', 'latex'],\n"
+        "             ['cf', '--p', '5', '--word', '2', '--output', 'latex']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "print('heckerpf.rpf' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_verify_loop():

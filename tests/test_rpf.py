@@ -791,6 +791,20 @@ def test_latex_rendering():
     assert to_latex(q_zero(3, 1, 0, 1)) == r"z^{-1}"
     assert to_latex(q_zero(3, 1, 2, 3)) == r"2 \left(1 - z^{-2}\right) + 3 \, z^{-1}"
 
+    # a factor that is a sum is bracketed: a0 and b1 in front of their
+    # powers of z, v in front of the radical
+    lam = lambda_elem(5)
+    assert to_latex(q_zero(5, 2, lam + 1)) == r"\left(\lambda + 1\right) \left(1 - z^{-4}\right)"
+    assert to_latex(q_zero(5, 1, 0, lam + 1)) == r"\left(\lambda + 1\right) \, z^{-1}"
+    root_five = ExtElem(1, 1, RingElem.from_int(3, 5))
+    assert to_latex(q_zero(3, 2, root_five)) == r"\left(1 + \sqrt{5}\right) \left(1 - z^{-4}\right)"
+    three = RingElem.from_int(5, 3)
+    term = PoleTerm(Surd(0, 1, three), 1, ExtElem(2, 1 - lam, three))
+    assert to_latex(RPF(5, 1, [term])) == r"\frac{2 -\left(\lambda - 1\right) \cdot \sqrt{3}}{z - \sqrt{3}}"
+    # the sign of a scalar goes in front of its fraction
+    form = _simple_form(sys3.positives[0])
+    assert to_latex(from_form_powers(1, [(-2, form)])) == r"-\frac{2}{z^{2} - z - 1}"
+
 
 def test_numeric_cross_check():
     # exact evaluation against 50-digit floating point, two ways
