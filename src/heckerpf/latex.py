@@ -4,11 +4,12 @@ their solution families.
 
 `field.poly_latex` renders the terms of a ring element.  Every printed sum
 goes through one joiner, `_sum`, which turns a rendered term's own leading
-"-" into the minus gap, and every c / denom through one rule, `_frac`,
-which puts the sign of c in front of the fraction.  Signs are read off the
-values (the coefficient that `poly_latex` prints first), so exactly one of
-c and -c renders with a leading minus.  A factor printed in front of
-another is bracketed when it is a sum.
+"-" into the minus gap.  A pole term or form power c / denom goes through
+one rule, `_over`, which puts the sign of c in front of the fraction (a tail
+entry keeps its sign on top, as the pinned outputs print it).  Signs are
+read off the values (the coefficient that `poly_latex` prints first), so
+exactly one of c and -c renders with a leading minus.  A factor printed in
+front of another is bracketed when it is a sum.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _ext(x) -> str:
 
 
 def _over(c, denom: str) -> str:
-    """The ExtElem c over denom."""
+    """The ExtElem c over denom, the sign of c in front of the fraction."""
     neg = _lead(c.U if any(c.U) else c.V) < 0
     return _frac(neg, _ext(-c if neg else c), denom)
 

@@ -178,8 +178,8 @@ def test_rpf_usage_and_domain_errors():
 
 
 def test_rpf_no_solution_branch():
-    # the p = 4 word 2 system has no weight-8 ansatz solution (its stdout
-    # digest is pinned as no-solution below)
+    # the p = 4 word 2 system has no weight-8 ansatz solution (the JSON of
+    # that request is pinned in test_stdout_digests_are_pinned)
     argv = ["rpf", "--p", "4", "--word", "2", "--weight", "8", "--mode", "ansatz"]
     code, out, _ = run_cli(argv)
     assert code == 0 and out.strip() == NO_SOLUTION_MESSAGE
